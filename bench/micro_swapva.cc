@@ -5,8 +5,10 @@
 // that the zero-copy property is real in this implementation too — swapping
 // PTEs of N pages is O(N) pointer work while memmove is O(N * 4096) byte
 // work. Custom counters report the modeled cycles alongside.
+// BM_MemsimOnAccess times the Table III cache/DTLB model per traced line.
 #include <benchmark/benchmark.h>
 
+#include "memsim/hierarchy.h"
 #include "simkernel/swapva.h"
 
 namespace {
@@ -117,6 +119,36 @@ void BM_AggregatedVec(benchmark::State& state) {
 BENCHMARK(BM_AggregatedVec)
     ->ArgNames({"batch", "hashed"})
     ->ArgsProduct({{8, 64}, {0, 1}});
+
+// One traced access of `bytes` per iteration into Table III's scaled
+// hierarchy, walking a 768 KiB region with wrap-around after one warm-up
+// pass. The region fits the 1 MiB LLC but not L1 or L2, so long accesses
+// stream through L1/L2 and hit the LLC, while 8-byte ones mostly hit L1.
+void BM_MemsimOnAccess(benchmark::State& state) {
+  const auto bytes = static_cast<std::uint32_t>(state.range(0));
+  constexpr std::uint64_t kBase = 1ULL << 32;
+  constexpr std::uint64_t kRegion = 768ULL << 10;
+  memsim::MemoryHierarchy hierarchy(
+      memsim::HierarchyConfig::ScaledForSmallHeaps());
+  std::uint64_t offset = 0;
+  const auto access = [&] {
+    hierarchy.OnAccess(kBase + offset, bytes, /*is_write=*/false);
+    offset = (offset + bytes) % kRegion;
+  };
+  for (std::uint64_t done = 0; done < kRegion; done += bytes) access();
+  const std::uint64_t warm_lines = hierarchy.l1().accesses();
+  for (auto _ : state) access();
+  const std::uint64_t lines = hierarchy.l1().accesses() - warm_lines;
+  state.counters["lines_per_s"] = benchmark::Counter(
+      static_cast<double>(lines), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_MemsimOnAccess)
+    ->ArgName("bytes")
+    ->Arg(8)
+    ->Arg(64)
+    ->Arg(4 << 10)
+    ->Arg(64 << 10)
+    ->Arg(256 << 10);
 
 }  // namespace
 

@@ -29,6 +29,11 @@ MissRates Measure(const std::string& workload, CollectorKind collector,
   config.collector = collector;
   config.heap_factor = heap_factor;
   config.iterations = bench::SmokeIterations(0);
+  // One trace-driven hierarchy models one serialized access stream. With
+  // several GC workers feeding it, the probe order (and so every miss
+  // count) would follow host thread interleaving; one worker keeps the
+  // table deterministic.
+  config.gc_threads = 1;
   config.trace = &hierarchy;
   (void)RunWorkload(config);
   return {hierarchy.LlcMissRatePercent(), hierarchy.DtlbMissRatePercent()};

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "memsim/lru_tags.h"
 #include "support/check.h"
 
 namespace svagc::memsim {
@@ -18,13 +19,39 @@ struct CacheConfig {
   unsigned line_bytes = 64;
 };
 
+// Lines [begin, end), by line number (address >> line shift).
+struct LineRun {
+  std::uint64_t begin;
+  std::uint64_t end;
+};
+
 class Cache {
  public:
+  // The set count (size / line / ways) must be a power of two.
   explicit Cache(const CacheConfig& config);
 
   // Returns true on hit; on miss the line is filled (allocate-on-miss for
   // both reads and writes, write-back ignored — miss counting only).
-  bool Access(std::uint64_t address);
+  bool Access(std::uint64_t address) {
+    return AccessLine(address >> line_shift_);
+  }
+  bool AccessLine(std::uint64_t line) {
+    const bool hit = tags_.Probe(line);
+    ++(hit ? hits_ : misses_);
+    return hit;
+  }
+
+  // AccessLine() on every line of `runs` in order, with the same counters
+  // and final state, appending the lines that miss to `misses` (merged into
+  // runs; may be null). The lines must be pairwise distinct, as the lines
+  // of one ranged access are. Then once a set has taken `ways` of them it
+  // holds exactly those, so each later one that maps there is a guaranteed
+  // miss and is filled without a scan. Once every set is in that state the
+  // rest of a run misses as a whole (MissRun). When the lines span no more
+  // than sets x ways line numbers, no set takes more than `ways` of them,
+  // so all are probed.
+  void AccessDistinct(const std::vector<LineRun>& runs,
+                      std::vector<LineRun>* misses);
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
@@ -37,19 +64,21 @@ class Cache {
   void ResetCounters() { hits_ = misses_ = 0; }
 
   const CacheConfig& config() const { return config_; }
+  unsigned line_shift() const { return line_shift_; }
+  // Lines the cache holds: sets x ways.
+  std::uint64_t capacity_lines() const { return tags_.sets() * tags_.ways(); }
 
  private:
-  struct Line {
-    bool valid = false;
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;
-  };
+  // Counts [begin, end) as misses, given that each line is absent from its
+  // set when its turn comes. Only the last sets x ways lines are filled:
+  // they put `ways` lines in every set, evicting all the earlier ones would
+  // have left.
+  void MissRun(std::uint64_t begin, std::uint64_t end);
 
   CacheConfig config_;
-  unsigned sets_;
   unsigned line_shift_;
-  std::vector<Line> lines_;  // sets_ x ways_
-  std::uint64_t clock_ = 0;
+  LruTags tags_;
+  std::vector<unsigned> taken_;  // AccessDistinct: lines per set this call
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -2,35 +2,14 @@
 
 namespace svagc::memsim {
 
-bool DtlbSim::Level::LookupInsert(std::uint64_t vpn, std::uint64_t* clock) {
-  Entry* row = &entries[(vpn % sets) * ways];
-  Entry* victim = &row[0];
-  for (unsigned w = 0; w < ways; ++w) {
-    Entry& entry = row[w];
-    if (entry.valid && entry.vpn == vpn) {
-      entry.lru = ++*clock;
-      return true;
-    }
-    if (!entry.valid) {
-      victim = &entry;
-    } else if (victim->valid && entry.lru < victim->lru) {
-      victim = &entry;
-    }
-  }
-  *victim = Entry{true, vpn, ++*clock};
-  return false;
-}
-
 DtlbSim::DtlbSim(unsigned l1_entries, unsigned l1_ways, unsigned stlb_entries,
                  unsigned stlb_ways)
-    : l1_(l1_entries, l1_ways), stlb_(stlb_entries, stlb_ways) {}
+    : l1_(l1_entries / l1_ways, l1_ways),
+      stlb_(stlb_entries / stlb_ways, stlb_ways) {}
 
 void DtlbSim::Access(std::uint64_t vaddr) {
-  const std::uint64_t key = KeyFor(vaddr);
   ++accesses_;
-  if (l1_.LookupInsert(key, &clock_)) return;
-  ++l1_misses_;
-  if (!stlb_.LookupInsert(key, &clock_)) ++stlb_misses_;
+  Probe(KeyFor(vaddr));
 }
 
 void DtlbSim::AccessRange(std::uint64_t vaddr, std::uint64_t bytes) {
@@ -44,10 +23,7 @@ void DtlbSim::AccessRange(std::uint64_t vaddr, std::uint64_t bytes) {
     const std::uint64_t key = KeyFor(vpn << sim::kPageShift);
     if (key == prev_key) continue;
     prev_key = key;
-    if (!l1_.LookupInsert(key, &clock_)) {
-      ++l1_misses_;
-      if (!stlb_.LookupInsert(key, &clock_)) ++stlb_misses_;
-    }
+    Probe(key);
   }
   // Word-granularity loads are the denominator perf divides by.
   accesses_ += (bytes + 7) / 8;

@@ -5,16 +5,16 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "memsim/lru_tags.h"
 #include "simkernel/config.h"
-#include "support/check.h"
 
 namespace svagc::memsim {
 
 class DtlbSim {
  public:
-  // Skylake-ish: 64-entry 4-way L1 DTLB, 1536-entry 12-way STLB.
+  // Skylake-ish: 64-entry 4-way L1 DTLB, 1536-entry 12-way STLB. Each
+  // level's set count (entries / ways) must be a power of two.
   DtlbSim(unsigned l1_entries = 64, unsigned l1_ways = 4,
           unsigned stlb_entries = 1536, unsigned stlb_ways = 12);
 
@@ -45,23 +45,12 @@ class DtlbSim {
   void ResetCounters() { accesses_ = l1_misses_ = stlb_misses_ = 0; }
 
  private:
-  struct Level {
-    unsigned sets;
-    unsigned ways;
-    struct Entry {
-      bool valid = false;
-      std::uint64_t vpn = 0;
-      std::uint64_t lru = 0;
-    };
-    std::vector<Entry> entries;
-
-    Level(unsigned num_entries, unsigned num_ways)
-        : sets(num_entries / num_ways), ways(num_ways),
-          entries(static_cast<std::size_t>(sets) * num_ways) {
-      SVAGC_CHECK(sets >= 1);
-    }
-    bool LookupInsert(std::uint64_t vpn, std::uint64_t* clock);
-  };
+  // One probe down both levels: the STLB sees only L1 DTLB misses.
+  void Probe(std::uint64_t key) {
+    if (l1_.Probe(key)) return;
+    ++l1_misses_;
+    if (!stlb_.Probe(key)) ++stlb_misses_;
+  }
 
   // Tag for the TLB entry covering vaddr: the vpn at 4 KiB granularity, or
   // the unit number in a distinct key namespace inside the huge span.
@@ -72,11 +61,10 @@ class DtlbSim {
     return vaddr >> sim::kPageShift;
   }
 
-  Level l1_;
-  Level stlb_;
+  LruTags l1_;
+  LruTags stlb_;
   std::uint64_t huge_lo_ = 0;
   std::uint64_t huge_hi_ = 0;
-  std::uint64_t clock_ = 0;
   std::uint64_t accesses_ = 0;
   std::uint64_t l1_misses_ = 0;
   std::uint64_t stlb_misses_ = 0;

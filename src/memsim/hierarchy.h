@@ -1,8 +1,10 @@
 // Full memory hierarchy sink: L1D -> L2 -> LLC plus the DTLB, implementing
-// the simkernel trace interface. Ranged accesses (bulk copies) are expanded
-// to one probe per cache line; TLB probes are one per page touched — the
+// the simkernel trace interface. Ranged accesses (bulk copies) count one
+// reference per cache line; TLB probes are one per page touched — the
 // granularity at which the hardware events actually occur.
 #pragma once
+
+#include <vector>
 
 #include "memsim/cache.h"
 #include "memsim/dtlb.h"
@@ -40,12 +42,9 @@ struct HierarchyConfig {
 
 class MemoryHierarchy : public sim::MemTraceSink {
  public:
-  explicit MemoryHierarchy(const HierarchyConfig& config = {})
-      : l1_(config.l1),
-        l2_(config.l2),
-        llc_(config.llc),
-        dtlb_(config.dtlb_entries, config.dtlb_ways, config.stlb_entries,
-              config.stlb_ways) {}
+  // All three levels must share one line size, and every level's set count
+  // must be a power of two.
+  explicit MemoryHierarchy(const HierarchyConfig& config = {});
 
   void OnAccess(std::uint64_t vaddr, std::uint32_t size, bool is_write) override;
 
@@ -94,6 +93,10 @@ class MemoryHierarchy : public sim::MemTraceSink {
   Cache l2_;
   Cache llc_;
   DtlbSim dtlb_;
+  // Scratch for a long access: its lines, then those that miss L1 and L2.
+  std::vector<LineRun> call_lines_;
+  std::vector<LineRun> l1_misses_;
+  std::vector<LineRun> l2_misses_;
 };
 
 }  // namespace svagc::memsim

@@ -31,8 +31,11 @@ verify::OracleConfig MakeConfig(const std::string& workload, HeapShape shape) {
   return config;
 }
 
+// The workload is held as std::string, not const char*: gtest prints a
+// const char* tuple element as its address, which would put an ASLR-dependent
+// pointer into every discovered ctest name.
 class DifferentialOracleSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, HeapShape>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, HeapShape>> {};
 
 TEST_P(DifferentialOracleSweep, SwapVaAndMemmoveArmsAgree) {
   const auto& [workload, shape] = GetParam();

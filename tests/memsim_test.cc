@@ -1,7 +1,14 @@
 // Tests for the trace-driven cache and DTLB simulators behind Table III.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "memsim/hierarchy.h"
+#include "support/align.h"
+#include "support/rng.h"
+#include "tests/memsim_reference.h"
+#include "workloads/runner.h"
 
 namespace svagc::memsim {
 namespace {
@@ -105,6 +112,279 @@ TEST(Hierarchy, ZeroSizeAccessIsSafe) {
   MemoryHierarchy hierarchy;
   hierarchy.OnAccess(1234, 0, true);
   EXPECT_EQ(hierarchy.l1().accesses(), 1u);  // degenerate single-line probe
+}
+
+TEST(MemsimDeathTest, RejectsUnsupportedGeometry) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Three sets, three DTLB sets, and levels with different line sizes.
+  ASSERT_DEATH(Cache(CacheConfig{3 * 4 * 64, 4, 64}), "CHECK failed");
+  ASSERT_DEATH(DtlbSim(12, 4, 64, 4), "CHECK failed");
+  HierarchyConfig mixed_lines;
+  mixed_lines.l2.line_bytes = 128;
+  ASSERT_DEATH(MemoryHierarchy{mixed_lines}, "CHECK failed");
+}
+
+TEST(Cache, AccessDistinctSkipsOnlyGuaranteedMisses) {
+  // 2 sets x 2 ways. Lines 0 and 1 are resident; a distinct run of 8 lines
+  // starting at 0 hits both, then every later line misses.
+  Cache cache(CacheConfig{4 * 64, 2, 64});
+  cache.AccessLine(0);
+  cache.AccessLine(1);
+  cache.ResetCounters();
+  std::vector<LineRun> misses;
+  cache.AccessDistinct({{0, 8}}, &misses);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 6u);
+  ASSERT_EQ(misses.size(), 1u);
+  EXPECT_EQ(misses[0].begin, 2u);
+  EXPECT_EQ(misses[0].end, 8u);
+  // The run leaves each set holding its last two lines, 4..7.
+  cache.ResetCounters();
+  cache.AccessDistinct({{4, 8}}, nullptr);
+  EXPECT_EQ(cache.hits(), 4u);
+}
+
+// Every counter of a hierarchy, the production one or the reference.
+struct Counts {
+  std::uint64_t l1_hits = 0;
+  std::uint64_t l1_misses = 0;
+  std::uint64_t l2_hits = 0;
+  std::uint64_t l2_misses = 0;
+  std::uint64_t llc_hits = 0;
+  std::uint64_t llc_misses = 0;
+  std::uint64_t dtlb_accesses = 0;
+  std::uint64_t dtlb_l1_misses = 0;
+  std::uint64_t dtlb_stlb_misses = 0;
+
+  bool operator==(const Counts&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Counts& c) {
+  os << "L1 " << c.l1_hits << "/" << c.l1_misses;
+  os << ", L2 " << c.l2_hits << "/" << c.l2_misses;
+  os << ", LLC " << c.llc_hits << "/" << c.llc_misses;
+  os << ", DTLB " << c.dtlb_accesses << "/" << c.dtlb_l1_misses;
+  return os << "/" << c.dtlb_stlb_misses;
+}
+
+template <typename AnyHierarchy>
+Counts CountsOf(AnyHierarchy& hierarchy) {
+  Counts c;
+  c.l1_hits = hierarchy.l1().hits();
+  c.l1_misses = hierarchy.l1().misses();
+  c.l2_hits = hierarchy.l2().hits();
+  c.l2_misses = hierarchy.l2().misses();
+  c.llc_hits = hierarchy.llc().hits();
+  c.llc_misses = hierarchy.llc().misses();
+  c.dtlb_accesses = hierarchy.dtlb().accesses();
+  c.dtlb_l1_misses = hierarchy.dtlb().l1_misses();
+  c.dtlb_stlb_misses = hierarchy.dtlb().stlb_misses();
+  return c;
+}
+
+// ---------------------------------------------------------------------------
+// Differential exactness: the production hierarchy against the per-line
+// reference model (tests/memsim_reference.h), counter for counter after
+// every call of a randomized trace.
+
+// Replays `calls` random accesses through both models. The trace covers
+// empty, sub-line and line-straddling accesses; accesses of exactly
+// sets x ways lines of each level (and one line either side); 1-5x the L2
+// span; repeated and overlapping ranges; and single-word probes straight
+// into one cache level or the DTLB, interleaved with the rest.
+void RunDifferential(const HierarchyConfig& config, std::uint64_t seed,
+                     int calls) {
+  reference::Hierarchy ref(config);
+  MemoryHierarchy got(config);
+  const std::uint64_t line = config.l1.line_bytes;
+  const std::uint64_t base = 1ULL << 32;
+  // Four LLCs' worth of address space: long accesses evict, short ones
+  // find the lines earlier ones left behind.
+  const std::uint64_t region = 4 * config.llc.size_bytes;
+  // The middle half of the region is 2 MiB-mapped, so page-granular and
+  // huge-unit DTLB keys both occur, and ranges cross between them.
+  ref.SetHugeSpan(base + region / 4, base + 3 * region / 4);
+  got.SetHugeSpan(base + region / 4, base + 3 * region / 4);
+  const std::uint64_t spans[] = {config.l1.size_bytes / line,
+                                 config.l2.size_bytes / line,
+                                 config.llc.size_bytes / line};
+
+  Rng rng(seed);
+  std::uint64_t prev_vaddr = base;
+  std::uint64_t prev_size = 0;
+  for (int i = 0; i < calls; ++i) {
+    std::uint64_t vaddr = base + rng.NextBelow(region);
+    std::uint64_t size = 0;
+    std::string what;
+    switch (rng.NextBelow(10)) {
+      case 0:
+        what = "empty";
+        break;
+      case 1:
+        what = "sub-line";
+        vaddr = AlignDown(vaddr, line) + rng.NextBelow(line);
+        size = rng.NextInRange(1, line - 1);
+        break;
+      case 2:
+        what = "straddling";
+        vaddr = AlignDown(vaddr, line) + line - rng.NextInRange(1, 8);
+        size = rng.NextInRange(2, 16);
+        break;
+      case 3:
+        what = "sets x ways of a level";
+        vaddr = AlignDown(vaddr, line);
+        size = (spans[rng.NextBelow(3)] + rng.NextInRange(0, 2) - 1) * line;
+        if (rng.NextBelow(2) == 0) vaddr += rng.NextBelow(line);
+        break;
+      case 4:
+        what = "1-5x the L2 span";
+        size = rng.NextInRange(spans[1], 5 * spans[1]) * line;
+        size += rng.NextBelow(line);
+        break;
+      case 5:
+        what = "repeat";
+        vaddr = prev_vaddr;
+        size = prev_size;
+        break;
+      case 6:
+        what = "overlap";
+        vaddr = prev_vaddr + rng.NextBelow(prev_size + 1);
+        vaddr -= std::min(vaddr - base, rng.NextBelow(prev_size / 2 + 1));
+        size = rng.NextInRange(1, std::max<std::uint64_t>(prev_size, 1));
+        break;
+      case 7: {
+        // A word inside or just past the previous access, straight into one
+        // level: it sees whatever state that access left behind.
+        what = "single-word cache probe";
+        const std::uint64_t word =
+            prev_vaddr + rng.NextBelow(prev_size + 4 * line);
+        switch (rng.NextBelow(3)) {
+          case 0:
+            ref.l1().Access(word);
+            got.l1().Access(word);
+            break;
+          case 1:
+            ref.l2().Access(word);
+            got.l2().Access(word);
+            break;
+          default:
+            ref.llc().Access(word);
+            got.llc().Access(word);
+            break;
+        }
+        ASSERT_EQ(CountsOf(got), CountsOf(ref)) << "call " << i << ": " << what;
+        continue;
+      }
+      case 8:
+        what = "single-word DTLB probe";
+        ref.dtlb().Access(vaddr);
+        got.dtlb().Access(vaddr);
+        ASSERT_EQ(CountsOf(got), CountsOf(ref)) << "call " << i << ": " << what;
+        continue;
+      default:
+        what = "random";
+        size = rng.NextBelow(3 * spans[0] * line);
+        break;
+    }
+    ref.OnAccess(vaddr, static_cast<std::uint32_t>(size));
+    got.OnAccess(vaddr, static_cast<std::uint32_t>(size),
+                 /*is_write=*/rng.NextBelow(2) == 1);
+    what += ", " + std::to_string(size) + " bytes at " + std::to_string(vaddr);
+    ASSERT_EQ(CountsOf(got), CountsOf(ref)) << "call " << i << ": " << what;
+    prev_vaddr = vaddr;
+    prev_size = size;
+  }
+}
+
+class MemsimDifferential : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(MemsimDifferential, MatchesReferenceModel) {
+  const unsigned ways = GetParam();
+  // Power-of-two set counts at every level, a different count per level.
+  HierarchyConfig config;
+  config.l1 = {16ULL * ways * 64, ways, 64};
+  config.l2 = {64ULL * ways * 64, ways, 64};
+  config.llc = {256ULL * ways * 64, ways, 64};
+  config.dtlb_entries = 4 * ways;
+  config.dtlb_ways = ways;
+  config.stlb_entries = 16 * ways;
+  config.stlb_ways = ways;
+  RunDifferential(config, /*seed=*/ways, /*calls=*/600);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ways, MemsimDifferential,
+                         ::testing::Values(1u, 2u, 4u, 8u, 11u, 12u, 16u));
+
+TEST(MemsimDifferentialPresets, ScaledForSmallHeaps) {
+  const HierarchyConfig config = HierarchyConfig::ScaledForSmallHeaps();
+  RunDifferential(config, /*seed=*/97, /*calls=*/600);
+}
+
+TEST(MemsimDifferentialPresets, Default) {
+  // Full-size: 32768-set 11-way LLC; a sets x ways access is 22 MiB.
+  RunDifferential(HierarchyConfig{}, /*seed=*/7, /*calls=*/120);
+}
+
+// ---------------------------------------------------------------------------
+// Golden counts: exact counters of two deterministic traced runs. Any change
+// to the model, or to the traffic the runtime feeds it, fails here instead
+// of moving Table III inside a tolerance.
+
+using workloads::CollectorKind;
+
+Counts TracedRunCounts(const char* workload, CollectorKind collector,
+                       unsigned gc_threads) {
+  MemoryHierarchy hierarchy(HierarchyConfig::ScaledForSmallHeaps());
+  workloads::RunConfig config;
+  config.workload = workload;
+  config.collector = collector;
+  config.iterations = 3;
+  config.gc_threads = gc_threads;
+  config.trace = &hierarchy;
+  (void)workloads::RunWorkload(config);
+  return CountsOf(hierarchy);
+}
+
+TEST(MemsimGolden, PagerankSvagc) {
+  const Counts c = TracedRunCounts("pagerank", CollectorKind::kSvagc, 1);
+  EXPECT_EQ(c.l1_hits, 0u);
+  EXPECT_EQ(c.l1_misses, 1225168u);
+  EXPECT_EQ(c.l2_hits, 46368u);
+  EXPECT_EQ(c.l2_misses, 1178800u);
+  EXPECT_EQ(c.llc_hits, 979965u);
+  EXPECT_EQ(c.llc_misses, 198835u);
+  EXPECT_EQ(c.dtlb_accesses, 9797834u);
+  EXPECT_EQ(c.dtlb_l1_misses, 19043u);
+  EXPECT_EQ(c.dtlb_stlb_misses, 18813u);
+}
+
+TEST(MemsimGolden, SparseLargeMemmove) {
+  // One GC thread: a shared hierarchy models one serialized stream, and
+  // with more threads the probe order follows host scheduling.
+  const Counts c =
+      TracedRunCounts("sparse.large", CollectorKind::kSvagcNoSwap, 1);
+  EXPECT_EQ(c.l1_hits, 0u);
+  EXPECT_EQ(c.l1_misses, 2556488u);
+  EXPECT_EQ(c.l2_hits, 36912u);
+  EXPECT_EQ(c.l2_misses, 2519576u);
+  EXPECT_EQ(c.llc_hits, 1048656u);
+  EXPECT_EQ(c.llc_misses, 1470920u);
+  EXPECT_EQ(c.dtlb_accesses, 20440273u);
+  EXPECT_EQ(c.dtlb_l1_misses, 41368u);
+  EXPECT_EQ(c.dtlb_stlb_misses, 40302u);
+}
+
+// Four GC workers feed one hierarchy concurrently (under TSan this checks
+// the lock around the tag rows and scratch runs). The interleaving changes
+// which lines hit, but not how many lines and loads arrive, and each level
+// still sees exactly the misses of the one above.
+TEST(Hierarchy, SharedByFourGcThreads) {
+  const Counts c =
+      TracedRunCounts("sparse.large", CollectorKind::kSvagcNoSwap, 4);
+  EXPECT_EQ(c.l1_hits + c.l1_misses, 2556488u);
+  EXPECT_EQ(c.l2_hits + c.l2_misses, c.l1_misses);
+  EXPECT_EQ(c.llc_hits + c.llc_misses, c.l2_misses);
+  EXPECT_EQ(c.dtlb_accesses, 20440273u);
 }
 
 }  // namespace

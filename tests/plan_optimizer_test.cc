@@ -372,9 +372,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PlanOptimizerDifferential,
 
 // The SwapVA-vs-memmove differential oracle, with the optimizer applied to
 // both arms: semantic digests and heap invariants must agree even when
-// coalesced run interiors ride the swap path.
+// coalesced run interiors ride the swap path. The workload is a std::string,
+// not a const char*, so the printed parameter (and with it the discovered
+// ctest name) carries no process address.
 class PlanOptimizerOracleSweep
-    : public ::testing::TestWithParam<std::pair<const char*, bool>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, bool>> {};
 
 TEST_P(PlanOptimizerOracleSweep, SwapVaAndMemmoveArmsAgreeWithCoalescing) {
   const auto& [workload, full] = GetParam();
@@ -395,11 +397,11 @@ TEST_P(PlanOptimizerOracleSweep, SwapVaAndMemmoveArmsAgreeWithCoalescing) {
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, PlanOptimizerOracleSweep,
-    ::testing::Values(std::pair<const char*, bool>{"bisort", false},
-                      std::pair<const char*, bool>{"bisort", true},
-                      std::pair<const char*, bool>{"lrucache", false},
-                      std::pair<const char*, bool>{"lrucache", true}),
-    [](const ::testing::TestParamInfo<std::pair<const char*, bool>>& info) {
+    ::testing::Values(std::pair<std::string, bool>{"bisort", false},
+                      std::pair<std::string, bool>{"bisort", true},
+                      std::pair<std::string, bool>{"lrucache", false},
+                      std::pair<std::string, bool>{"lrucache", true}),
+    [](const ::testing::TestParamInfo<std::pair<std::string, bool>>& info) {
       std::string name = info.param.first;
       for (char& c : name) {
         if (c == '.') c = '_';
