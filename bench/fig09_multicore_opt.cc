@@ -44,7 +44,7 @@ Outcome RunCompaction(const sim::CostProfile& profile, unsigned cores,
   if (optimized) kernel.SysUnpin(ctx);
   return Outcome{ctx.account.total(),
                  static_cast<double>(machine.TotalDisturbanceCycles()),
-                 machine.TotalIpisSent()};
+                 machine.metrics().CounterValue("ipi.sent")};
 }
 
 }  // namespace

@@ -33,13 +33,9 @@ std::vector<Ablation> Ablations() {
           {"+adaptive", adaptive}};
 }
 
-std::uint64_t Counter(const std::vector<std::pair<std::string, std::uint64_t>>&
-                          counters,
-                      const char* name) {
-  for (const auto& [key, value] : counters) {
-    if (key == name) return value;
-  }
-  return 0;
+std::string Count(const CounterSnapshot& counters, const char* name) {
+  return Format("%llu",
+                (unsigned long long)FindCounter(counters, name).value_or(0));
 }
 
 RunResult RunArm(const sim::CostProfile& profile, const char* workload,
@@ -92,14 +88,11 @@ int main() {
           {arm.name, Format("%.0f", r.phase_sum.compact / 1e3),
            Format("%.0f", r.phase_sum.forward / 1e3),
            Format("%.0f", r.gc_total_cycles / 1e3),
-           Format("%llu", (unsigned long long)Counter(r.machine_counters,
-                                                      "swapva.calls")),
+           Count(r.machine_counters, "swapva.calls"),
            Format("%.2f", static_cast<double>(r.bytes_swapped) / (1 << 20)),
            Format("%.2f", static_cast<double>(r.bytes_copied) / (1 << 20)),
-           Format("%llu", (unsigned long long)Counter(
-                              r.gc_counters, "gc.plan.runs_coalesced")),
-           Format("%llu", (unsigned long long)Counter(
-                              r.gc_counters, "gc.plan.threshold_pages"))});
+           Count(r.gc_counters, "gc.plan.runs_coalesced"),
+           Count(r.gc_counters, "gc.plan.threshold_pages")});
     }
     bench::Emit(Format("fig19.%s", shape), table);
   }

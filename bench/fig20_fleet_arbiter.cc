@@ -74,9 +74,8 @@ int main() {
       for (const RunResult& r : result.tenants) {
         app += r.app_cycles;
         wait_max = std::max(wait_max, r.gc_wait_max_cycles);
-        for (const auto& [name, value] : r.gc_counters) {
-          if (name == "gc.flushes_coalesced") coalesced += value;
-        }
+        coalesced +=
+            FindCounter(r.gc_counters, "gc.flushes_coalesced").value_or(0);
       }
       app /= tenants;
       const bench::TenantPauses pauses =

@@ -28,9 +28,9 @@ constexpr unsigned kEntries = 256;
 constexpr std::uint64_t kMaxValueBytes = 256 * 1024;
 constexpr unsigned kRequests = 4000;
 
-std::unique_ptr<rt::CollectorIface> MakeCollector(const std::string& name,
-                                                  sim::Machine& machine,
-                                                  bool* align_large) {
+std::unique_ptr<gc::CollectorBase> MakeCollector(const std::string& name,
+                                                 sim::Machine& machine,
+                                                 bool* align_large) {
   *align_large = true;
   if (name == "svagc") {
     return std::make_unique<core::SvagcCollector>(machine, 8, 0);
@@ -72,6 +72,7 @@ int main(int argc, char** argv) {
   }
   config.heap.page_align_large = align_large;
   rt::Jvm jvm(machine, phys, kernel, config);
+  const telemetry::MetricsRegistry& metrics = collector->metrics();
   jvm.set_collector(std::move(collector));
 
   // The cache: one root table of value references + host-side recency.
@@ -134,7 +135,7 @@ int main(int argc, char** argv) {
               log.pauses.Percentile(95) / (ghz * 1e6),
               log.pauses.max() / (ghz * 1e6));
   std::printf("swap traffic     : %.1f MiB swapped, %.1f MiB copied\n",
-              log.bytes_swapped.load() / 1048576.0,
-              log.bytes_copied.load() / 1048576.0);
+              metrics.CounterValue("gc.bytes_swapped") / 1048576.0,
+              metrics.CounterValue("gc.bytes_copied") / 1048576.0);
   return 0;
 }

@@ -29,8 +29,10 @@ int main() {
   config.heap.swap_threshold_pages = 10;
   config.gc_threads = 4;
   rt::Jvm jvm(machine, phys, kernel, config);
-  jvm.set_collector(std::make_unique<core::SvagcCollector>(
-      machine, config.gc_threads, /*first_core=*/0));
+  auto collector = std::make_unique<core::SvagcCollector>(
+      machine, config.gc_threads, /*first_core=*/0);
+  const telemetry::MetricsRegistry& metrics = collector->metrics();
+  jvm.set_collector(std::move(collector));
 
   // 3. Allocate: a root table, some garbage, a large array (1 MiB, moved by
   //    SwapVA) and a small one (moved by memmove).
@@ -53,7 +55,8 @@ int main() {
   jvm.collector().Collect(jvm);
 
   // 5. Inspect. The root slots were forwarded; data survived; the large
-  //    object moved by swapping page-table entries, not bytes.
+  //    object moved by swapping page-table entries, not bytes. Pauses come
+  //    from the collector's log, event totals from its metrics registry.
   const rt::vaddr_t big_now = jvm.View(jvm.roots().Get(root)).ref(0);
   std::printf("heap after GC:  %.2f MiB used\n", jvm.heap().used() / 1048576.0);
   std::printf("large object:   0x%llx -> 0x%llx, payload word = 0x%llx\n",
@@ -64,9 +67,10 @@ int main() {
   std::printf("GC pauses:      %llu cycle(s), %.0fk modeled cycles total\n",
               (unsigned long long)log.collections, log.pauses.total() / 1e3);
   std::printf("moved by swap:  %.2f MiB in %llu syscall(s)\n",
-              log.bytes_swapped.load() / 1048576.0,
-              (unsigned long long)log.swap_calls.load());
-  std::printf("moved by copy:  %.2f KiB\n", log.bytes_copied.load() / 1024.0);
+              metrics.CounterValue("gc.bytes_swapped") / 1048576.0,
+              (unsigned long long)metrics.CounterValue("gc.swap_calls"));
+  std::printf("moved by copy:  %.2f KiB\n",
+              metrics.CounterValue("gc.bytes_copied") / 1024.0);
 
   const rt::VerifyResult verify = rt::VerifyHeap(jvm);
   std::printf("heap verified:  %s (%llu live objects)\n",

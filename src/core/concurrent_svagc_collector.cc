@@ -6,7 +6,8 @@ ConcurrentSvagcCollector::ConcurrentSvagcCollector(
     sim::Machine& machine, unsigned gc_threads, unsigned first_core,
     const ConcurrentSvagcCoreConfig& config)
     : gc::ConcurrentSvagc(machine, gc_threads, first_core, config.concurrent),
-      config_(config) {
+      config_(config),
+      pin_refusals_(metrics().counter("gc.pin_refusals")) {
   if (!config_.pinned_evacuation) {
     // Without pinning, correctness requires a global shootdown per call.
     config_.move.tlb_policy = sim::TlbPolicy::kGlobalPerCall;
@@ -24,10 +25,6 @@ ObjectMover& ConcurrentSvagcCollector::MoverFor(rt::Jvm& jvm) {
   return *mover_;
 }
 
-MoveObjectStats ConcurrentSvagcCollector::MoveStats() const {
-  return mover_ ? mover_->stats() : MoveObjectStats{};
-}
-
 void ConcurrentSvagcCollector::MoveOne(rt::Jvm& jvm, sim::CpuContext& ctx,
                                        const gc::Move& move) {
   ctx.account.Charge(sim::CostKind::kCompute, costs().move_dispatch);
@@ -37,7 +34,7 @@ void ConcurrentSvagcCollector::MoveOne(rt::Jvm& jvm, sim::CpuContext& ctx,
   } else {
     mover.Move(ctx, move.src, move.dst, move.size);
   }
-  log_.objects_moved += move.objects;
+  counters().objects_moved.Add(move.objects);
 }
 
 void ConcurrentSvagcCollector::FlushEvacBatch(rt::Jvm& jvm,
@@ -56,7 +53,7 @@ void ConcurrentSvagcCollector::EvacBegin(rt::Jvm& jvm, sim::CpuContext& ctx) {
   // (the worker context persists between windows; mutators run on their own
   // contexts and do not disturb the declaration).
   if (jvm.kernel().SysPin(worker_ctx(0)) != sim::SysStatus::kOk) {
-    ++pin_refusals_;
+    pin_refusals_.Add();
     mover.set_tlb_policy(sim::TlbPolicy::kGlobalPerCall);
     return;
   }
@@ -78,7 +75,6 @@ void ConcurrentSvagcCollector::EvacQuantumPrologue(rt::Jvm& jvm,
     // applied but remote cores may still hold stale entries — re-issue as a
     // plain process-wide flush before any swap of this window.
     jvm.kernel().SysFlushProcessTlbs(jvm.address_space(), ctx);
-    ++window_flush_fallbacks_;
     metrics().counter("gc.window_flush_fallbacks").Add();
   }
 }
@@ -94,18 +90,11 @@ void ConcurrentSvagcCollector::EvacEnd(rt::Jvm& jvm, sim::CpuContext& ctx) {
 void ConcurrentSvagcCollector::CycleFlip(rt::Jvm& jvm, sim::CpuContext& ctx) {
   (void)jvm;
   (void)ctx;
-  // Publish aggregated move statistics, mirroring SvagcCollector's
-  // compaction epilogue so the benches and oracle read the same ledger.
-  const MoveObjectStats total = MoveStats();
-  log_.bytes_copied.store(total.bytes_copied, std::memory_order_relaxed);
-  log_.bytes_swapped.store(total.bytes_swapped, std::memory_order_relaxed);
-  log_.swap_calls.store(total.swap_calls_issued, std::memory_order_relaxed);
-  telemetry::MetricsRegistry& reg = metrics();
-  reg.counter("gc.objects_swapped").Store(total.objects_swapped);
-  reg.counter("gc.objects_copied").Store(total.objects_copied);
-  reg.counter("gc.swap_faults_recovered").Store(total.swap_faults_recovered);
-  reg.counter("gc.pin_losses_recovered").Store(total.pin_losses_recovered);
-  reg.counter("gc.pin_refusals").Store(pin_refusals_);
+  // Publish this cycle's move statistics, as SvagcCollector's compaction
+  // epilogue does, so the benches and oracle read the same ledger.
+  const MoveObjectStats cycle =
+      mover_ ? mover_->TakeStats() : MoveObjectStats{};
+  cycle.PublishTo(metrics());
 }
 
 }  // namespace svagc::core

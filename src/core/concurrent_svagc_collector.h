@@ -36,16 +36,6 @@ class ConcurrentSvagcCollector : public gc::ConcurrentSvagc {
   ~ConcurrentSvagcCollector() override;
 
   const ConcurrentSvagcCoreConfig& core_config() const { return config_; }
-  MoveObjectStats MoveStats() const;
-
-  // Cycles whose pin request was refused: the whole evacuation fell back to
-  // per-call global shootdowns.
-  std::uint64_t pin_refusals() const { return pin_refusals_; }
-  // Per-window flushes whose multi-asid broadcast faulted and were completed
-  // by the per-process fallback path.
-  std::uint64_t window_flush_fallbacks() const {
-    return window_flush_fallbacks_;
-  }
 
  protected:
   void MoveOne(rt::Jvm& jvm, sim::CpuContext& ctx,
@@ -64,8 +54,9 @@ class ConcurrentSvagcCollector : public gc::ConcurrentSvagc {
   std::unique_ptr<ObjectMover> mover_;
   rt::Jvm* mover_jvm_ = nullptr;
   bool pinned_this_cycle_ = false;
-  std::uint64_t pin_refusals_ = 0;
-  std::uint64_t window_flush_fallbacks_ = 0;
+  // "gc.pin_refusals": cycles whose pin request was refused, so the whole
+  // evacuation fell back to per-call global shootdowns.
+  telemetry::Counter& pin_refusals_;
 };
 
 }  // namespace svagc::core

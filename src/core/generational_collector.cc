@@ -1,8 +1,6 @@
 #include "core/generational_collector.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
 
 #include "gc/mark_bitmap.h"
@@ -14,7 +12,8 @@ namespace svagc::core {
 GenerationalCollector::GenerationalCollector(
     sim::Machine& machine, unsigned first_core,
     std::unique_ptr<gc::ParallelLisp2> inner, const GenerationalConfig& config)
-    : gc::CollectorBase(machine, std::max(1u, config.gang_workers), first_core),
+    : gc::CollectorBase(machine, std::max(1u, config.gang_workers), first_core,
+                        inner != nullptr ? &inner->metrics() : nullptr),
       config_(config),
       inner_(std::move(inner)),
       governor_(config.pressure) {
@@ -126,7 +125,6 @@ void GenerationalCollector::WriteRef(rt::Jvm& jvm, rt::vaddr_t obj,
   if (value != 0 && in_young(value) && !in_young(obj)) {
     SsbFor(logical_thread % jvm.num_mutators())
         .push_back(SlotAddr(obj, slot));
-    ++barrier_records_;
   }
   jvm.View(obj).set_ref(slot, value);
 }
@@ -587,11 +585,9 @@ bool GenerationalCollector::MinorCollect(rt::Jvm& jvm) {
     ages_[it == reloc.end() ? s.addr : it->second] = s.age + 1;
   }
 
-  for (const MoveObjectStats& ms : worker_move_stats) {
-    log_.bytes_copied += ms.bytes_copied;
-    log_.bytes_swapped += ms.bytes_swapped;
-    log_.objects_moved += ms.objects_copied + ms.objects_swapped;
-    log_.swap_calls += ms.swap_calls_issued;
+  for (const MoveObjectStats& moved : worker_move_stats) {
+    moved.PublishTo(metrics());
+    counters().objects_moved.Add(moved.objects_copied + moved.objects_swapped);
   }
   log_.Record(rec);
   gc::CycleTasks tasks;
@@ -602,24 +598,6 @@ bool GenerationalCollector::MinorCollect(rt::Jvm& jvm) {
   tasks[4].push_back({0, "minor/drain", 0, rec.other});
   PublishCycleTelemetry(rec, tasks);
 
-  if (std::getenv("SVAGC_GEN_DEBUG") != nullptr) {
-    std::uint64_t group_members = 0, group_bytes = 0;
-    for (const Group& g : groups) {
-      group_members += g.members.size();
-      group_bytes += g.bytes;
-    }
-    std::fprintf(
-        stderr,
-        "minor %llu: surv=%llu stay=%llu ten=%llu groups=%zu gm=%llu "
-        "gb=%lluK tb=%lluK mark=%.0f fwd=%.0f adj=%.0f cp=%.0f ot=%.0f\n",
-        (unsigned long long)minor_collections_,
-        (unsigned long long)stats.survivors, (unsigned long long)stats.stayed,
-        (unsigned long long)stats.tenured, groups.size(),
-        (unsigned long long)group_members,
-        (unsigned long long)(group_bytes >> 10),
-        (unsigned long long)(tenure_bytes >> 10), rec.mark, rec.forward,
-        rec.adjust, rec.compact, rec.other);
-  }
   ++minor_collections_;
   promoted_bytes_ += stats.promoted_bytes;
   premature_tenures_ += stats.premature_tenured;
@@ -682,21 +660,13 @@ void GenerationalCollector::StepPhase() {
 }
 
 void GenerationalCollector::MirrorFinishedInnerCycle() {
-  // The harness harvests the *outer* collector's GcLog and metrics, so
-  // every finished inner cycle is replayed into them here (byte counters
-  // as deltas against the mirror watermarks).
+  // The harness reads pauses from the *outer* collector's GcLog, so every
+  // finished inner cycle is replayed into it here. Event totals need no
+  // replay: both collectors publish into the inner collector's registry.
   const rt::GcLog& il = inner_->log();
-  log_.bytes_copied += il.bytes_copied.load() - mirrored_copied_;
-  log_.bytes_swapped += il.bytes_swapped.load() - mirrored_swapped_;
-  log_.objects_moved += il.objects_moved.load() - mirrored_moved_;
-  log_.swap_calls += il.swap_calls.load() - mirrored_swap_calls_;
-  mirrored_copied_ = il.bytes_copied.load();
-  mirrored_swapped_ = il.bytes_swapped.load();
-  mirrored_moved_ = il.objects_moved.load();
-  mirrored_swap_calls_ = il.swap_calls.load();
-  SVAGC_CHECK(il.cycles.size() > mirrored_cycles_);
-  for (; mirrored_cycles_ < il.cycles.size(); ++mirrored_cycles_) {
-    const rt::GcCycleRecord& rec = il.cycles[mirrored_cycles_];
+  SVAGC_CHECK(il.cycles.size() > inner_cycles_seen_);
+  for (; inner_cycles_seen_ < il.cycles.size(); ++inner_cycles_seen_) {
+    const rt::GcCycleRecord& rec = il.cycles[inner_cycles_seen_];
     log_.Record(rec);
     PublishCycleTelemetry(rec, gc::CycleTasks{});
     ++full_collections_;

@@ -41,8 +41,9 @@
 //   * Phase engine — BeginCycle/StepPhase delegate to the inner collector
 //     (abandoning the nursery first), so the fleet arbiter and the epoch
 //     TLB-flush machinery drive a generational tenant unchanged. Finished
-//     inner cycles are mirrored into this collector's own GcLog/metrics —
-//     the harness harvests the outer collector only.
+//     inner cycles are replayed into this collector's own GcLog, and both
+//     collectors publish event totals into the inner collector's metrics
+//     registry — the harness harvests the outer collector only.
 #pragma once
 
 #include <cstdint>
@@ -112,8 +113,9 @@ class GenerationalCollector final : public gc::CollectorBase,
                                     public rt::AllocFrontEnd {
  public:
   // `inner` runs the full collections (SvagcCollector or plain
-  // ParallelLisp2); the front end owns it. The outer gang is a single
-  // worker: minor scavenges are serial, full phases use the inner gang.
+  // ParallelLisp2); the front end owns it and shares its metrics registry.
+  // Minor scavenges run on the outer gang of `config.gang_workers` workers;
+  // full phases use the inner gang.
   GenerationalCollector(sim::Machine& machine, unsigned first_core,
                         std::unique_ptr<gc::ParallelLisp2> inner,
                         const GenerationalConfig& config);
@@ -163,7 +165,6 @@ class GenerationalCollector final : public gc::CollectorBase,
   std::uint64_t full_collections() const { return full_collections_; }
   std::uint64_t promoted_bytes() const { return promoted_bytes_; }
   std::uint64_t premature_tenures() const { return premature_tenures_; }
-  std::uint64_t barrier_records() const { return barrier_records_; }
   const MinorCycleStats& last_minor() const { return last_minor_; }
 
   // The superset oracle: walks every old-space object and CHECKs that each
@@ -202,8 +203,8 @@ class GenerationalCollector final : public gc::CollectorBase,
   // Full-GC prologue: hand the nursery to the inner cycle and clear every
   // young-side structure (remset, buffers, ages).
   void AbandonYoungForFullGc();
-  // Mirrors the just-finished inner cycle into this collector's log/metrics
-  // and runs the post-full bookkeeping.
+  // Replays the just-finished inner cycle into this collector's log and
+  // runs the post-full bookkeeping.
   void MirrorFinishedInnerCycle();
 
   // Scavenge helpers (see .cc). TraceYoung runs the gang-parallel BFS and
@@ -231,15 +232,10 @@ class GenerationalCollector final : public gc::CollectorBase,
   std::uint64_t full_collections_ = 0;
   std::uint64_t promoted_bytes_ = 0;
   std::uint64_t premature_tenures_ = 0;
-  std::uint64_t barrier_records_ = 0;
   MinorCycleStats last_minor_;
 
-  // Inner-log watermarks for cycle mirroring.
-  std::size_t mirrored_cycles_ = 0;
-  std::uint64_t mirrored_copied_ = 0;
-  std::uint64_t mirrored_swapped_ = 0;
-  std::uint64_t mirrored_moved_ = 0;
-  std::uint64_t mirrored_swap_calls_ = 0;
+  // Inner-log cycles already replayed into this collector's log.
+  std::size_t inner_cycles_seen_ = 0;
 
   // The Jvm a stepped cycle is bound to (BeginCycle..final StepPhase).
   rt::Jvm* cycle_jvm_ = nullptr;

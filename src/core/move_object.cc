@@ -5,6 +5,16 @@
 
 namespace svagc::core {
 
+void MoveObjectStats::PublishTo(telemetry::MetricsRegistry& metrics) const {
+  metrics.counter("gc.bytes_copied").Add(bytes_copied);
+  metrics.counter("gc.bytes_swapped").Add(bytes_swapped);
+  metrics.counter("gc.swap_calls").Add(swap_calls_issued);
+  metrics.counter("gc.objects_swapped").Add(objects_swapped);
+  metrics.counter("gc.objects_copied").Add(objects_copied);
+  metrics.counter("gc.swap_faults_recovered").Add(swap_faults_recovered);
+  metrics.counter("gc.pin_losses_recovered").Add(pin_losses_recovered);
+}
+
 void ObjectMover::Move(sim::CpuContext& ctx, rt::vaddr_t src, rt::vaddr_t dst,
                        std::uint64_t size) {
   const std::uint64_t pages = CeilDiv(size, sim::kPageSize);

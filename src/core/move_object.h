@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "runtime/jvm.h"
@@ -37,6 +38,11 @@ struct MoveObjectStats {
   // revocations (kNotPinned) healed by re-pinning + re-flushing.
   std::uint64_t swap_faults_recovered = 0;
   std::uint64_t pin_losses_recovered = 0;
+
+  // Adds these stats to a collector's registry ("gc.bytes_copied",
+  // "gc.objects_swapped", ...). Every writer adds one cycle's stats, so a
+  // generational front end and its inner collector share the totals.
+  void PublishTo(telemetry::MetricsRegistry& metrics) const;
 };
 
 // One mover per compaction worker. Swap requests may be buffered; the owner
@@ -103,6 +109,8 @@ class ObjectMover {
   }
 
   const MoveObjectStats& stats() const { return stats_; }
+  // The stats since the previous call; collectors publish them per cycle.
+  MoveObjectStats TakeStats() { return std::exchange(stats_, {}); }
 
  private:
   // Re-pin after a kNotPinned and restore the Algorithm 4 precondition with

@@ -7,7 +7,8 @@ namespace svagc::core {
 SvagcCollector::SvagcCollector(sim::Machine& machine, unsigned gc_threads,
                                unsigned first_core, const SvagcConfig& config)
     : gc::ParallelLisp2(machine, gc_threads, first_core, config.region_bytes),
-      config_(config) {
+      config_(config),
+      pin_refusals_(metrics().counter("gc.pin_refusals")) {
   if (!config_.pinned_compaction) {
     // Without pinning, correctness requires a global shootdown per call.
     config_.move.tlb_policy = sim::TlbPolicy::kGlobalPerCall;
@@ -36,30 +37,11 @@ void SvagcCollector::BindMovers(rt::Jvm& jvm) {
   if (movers_jvm_ != &jvm) {
     for (auto& mover : movers_) mover.reset();
     movers_jvm_ = &jvm;
-    // Mover stats restart from zero with the rebind, so the moved-bytes
-    // delta feeding the adaptive threshold must too.
-    prev_moved_total_ = 0;
     last_cycle_moved_bytes_ = 0;
   }
   for (auto& mover : movers_) {
     if (!mover) mover = std::make_unique<ObjectMover>(jvm, config_.move);
   }
-}
-
-MoveObjectStats SvagcCollector::AggregateMoveStats() const {
-  MoveObjectStats total;
-  for (const auto& mover : movers_) {
-    if (!mover) continue;
-    const MoveObjectStats& s = mover->stats();
-    total.bytes_copied += s.bytes_copied;
-    total.bytes_swapped += s.bytes_swapped;
-    total.swap_calls_issued += s.swap_calls_issued;
-    total.objects_swapped += s.objects_swapped;
-    total.objects_copied += s.objects_copied;
-    total.swap_faults_recovered += s.swap_faults_recovered;
-    total.pin_losses_recovered += s.pin_losses_recovered;
-  }
-  return total;
 }
 
 void SvagcCollector::MoveObject(rt::Jvm& jvm, sim::CpuContext& ctx,
@@ -73,7 +55,7 @@ void SvagcCollector::MoveObject(rt::Jvm& jvm, sim::CpuContext& ctx,
   } else {
     mover.Move(ctx, move.src, move.dst, move.size);
   }
-  log_.objects_moved += move.objects;
+  counters().objects_moved.Add(move.objects);
 }
 
 void SvagcCollector::FlushMoves(rt::Jvm& jvm, sim::CpuContext& ctx,
@@ -88,9 +70,8 @@ void SvagcCollector::CompactionPrologue(rt::Jvm& jvm, sim::CpuContext& ctx) {
   // same inputs produced the plan optimizer's qualification earlier in this
   // cycle (last_cycle_moved_bytes_ only advances in the epilogue), so plan
   // and mover agree on what is swappable.
-  cycle_threshold_pages_ = PlanSwapThresholdPages(jvm);
   const std::uint64_t override_pages =
-      plan_optimizer().adaptive_threshold ? cycle_threshold_pages_ : 0;
+      plan_optimizer().adaptive_threshold ? PlanSwapThresholdPages(jvm) : 0;
   for (auto& mover : movers_) mover->set_threshold_pages(override_pages);
   pinned_this_cycle_ = false;
   if (!config_.pinned_compaction || !config_.move.use_swapva) return;
@@ -111,7 +92,7 @@ void SvagcCollector::CompactionPrologue(rt::Jvm& jvm, sim::CpuContext& ctx) {
     for (unsigned i = 0; i < pinned; ++i) {
       jvm.kernel().SysUnpin(worker_ctx(i));
     }
-    ++pin_refusals_;
+    pin_refusals_.Add();
     for (auto& mover : movers_) {
       mover->set_tlb_policy(sim::TlbPolicy::kGlobalPerCall);
     }
@@ -140,24 +121,15 @@ void SvagcCollector::CompactionEpilogue(rt::Jvm& jvm, sim::CpuContext& ctx) {
     }
     pinned_this_cycle_ = false;
   }
-  // Publish aggregated move statistics on the collector log and the metrics
-  // registry (PublishCycleTelemetry re-Stores the log totals; the mover
-  // breakdown below only exists here).
-  const MoveObjectStats total = AggregateMoveStats();
-  log_.bytes_copied.store(total.bytes_copied, std::memory_order_relaxed);
-  log_.bytes_swapped.store(total.bytes_swapped, std::memory_order_relaxed);
-  log_.swap_calls.store(total.swap_calls_issued, std::memory_order_relaxed);
-  telemetry::MetricsRegistry& reg = metrics();
-  reg.counter("gc.objects_swapped").Store(total.objects_swapped);
-  reg.counter("gc.objects_copied").Store(total.objects_copied);
-  reg.counter("gc.swap_faults_recovered").Store(total.swap_faults_recovered);
-  reg.counter("gc.pin_losses_recovered").Store(total.pin_losses_recovered);
-  reg.counter("gc.pin_refusals").Store(pin_refusals_);
-  // Feed the adaptive threshold: what this cycle actually moved decides
+  // Publish this cycle's move statistics; the registry is their only tally.
+  // What the cycle moved also feeds the adaptive threshold: it decides
   // whether next cycle's copy alternative prices at the cached or DRAM rate.
-  const std::uint64_t moved_total = total.bytes_copied + total.bytes_swapped;
-  last_cycle_moved_bytes_ = moved_total - prev_moved_total_;
-  prev_moved_total_ = moved_total;
+  last_cycle_moved_bytes_ = 0;
+  for (auto& mover : movers_) {
+    const MoveObjectStats moved = mover->TakeStats();
+    moved.PublishTo(metrics());
+    last_cycle_moved_bytes_ += moved.bytes_copied + moved.bytes_swapped;
+  }
 
   // GC-driven eviction advice: the dense prefix [heap base, comp_pnt) is
   // exactly the span the plan refused to move, so it will not be touched by
@@ -170,7 +142,7 @@ void SvagcCollector::CompactionEpilogue(rt::Jvm& jvm, sim::CpuContext& ctx) {
     if (bytes > 0) {
       const std::uint64_t demoted = jvm.kernel().SysMadviseCold(
           jvm.address_space(), ctx, jvm.heap().base(), bytes);
-      reg.counter("gc.advised_cold_pages").Add(demoted);
+      metrics().counter("gc.advised_cold_pages").Add(demoted);
     }
   }
 }

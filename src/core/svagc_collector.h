@@ -53,11 +53,6 @@ class SvagcCollector : public gc::ParallelLisp2 {
   const char* name() const override { return "SVAGC"; }
 
   const SvagcConfig& config() const { return config_; }
-  MoveObjectStats AggregateMoveStats() const;
-
-  // Cycles whose pin request was refused (kPinRefused): the whole compaction
-  // fell back to per-call global shootdowns instead of Algorithm 4.
-  std::uint64_t pin_refusals() const { return pin_refusals_; }
 
   // The swap threshold the coming cycle will dispatch with: the adaptive
   // Fig. 10 crossover when the plan optimizer's adaptive_threshold knob is
@@ -91,15 +86,13 @@ class SvagcCollector : public gc::ParallelLisp2 {
   // Whether this cycle's prologue pinned the workers (and the epilogue must
   // unpin them). False when pinning is off or the pin request was refused.
   bool pinned_this_cycle_ = false;
-  std::uint64_t pin_refusals_ = 0;
+  // "gc.pin_refusals": cycles whose pin request was refused (kPinRefused),
+  // so the whole compaction fell back to per-call global shootdowns.
+  telemetry::Counter& pin_refusals_;
   // Adaptive-threshold feedback: bytes the previous cycle actually moved
   // (copied + swapped), which selects the cached-vs-DRAM copy rate in
-  // ChooseSwapThresholdPages. Derived as a delta of the movers' cumulative
-  // totals; reset with the movers on a JVM rebind.
+  // ChooseSwapThresholdPages. Reset with the movers on a JVM rebind.
   std::uint64_t last_cycle_moved_bytes_ = 0;
-  std::uint64_t prev_moved_total_ = 0;
-  // The threshold the prologue applied this cycle (telemetry/debugging).
-  std::uint64_t cycle_threshold_pages_ = 0;
   EpochFlushCoordinator* epoch_flush_coordinator_ = nullptr;
 };
 

@@ -82,7 +82,6 @@ rt::vaddr_t YoungSpace::AllocateSmall(std::uint64_t bytes,
     if (run.base == 0) return 0;
     zone = Zone{run.base, run.base, run.base + run.bytes};
     heap_.WriteFiller(zone.base, run.bytes);
-    ++zone_refills_;
   }
   const rt::vaddr_t addr = zone.cursor;
   zone.cursor += bytes;

@@ -125,7 +125,6 @@ class YoungSpace {
     return zones_[logical_thread % zones_.size()];
   }
   unsigned num_zones() const { return static_cast<unsigned>(zones_.size()); }
-  std::uint64_t zone_refills() const { return zone_refills_; }
 
  private:
   // Removes [base, base+bytes) from the enclosing free run, re-fillering
@@ -141,7 +140,6 @@ class YoungSpace {
   std::map<rt::vaddr_t, std::uint64_t> free_;
   std::uint64_t free_bytes_ = 0;
   std::vector<Zone> zones_;
-  std::uint64_t zone_refills_ = 0;
 };
 
 }  // namespace svagc::core

@@ -91,8 +91,6 @@ std::vector<unsigned> Arbiter::FormEpoch(bool force) {
   }
 
   for (const unsigned id : members) slots_[id].pending = false;
-  ++epochs_;
-  gc_admitted_ += members.size();
   max_epoch_size_ = std::max<std::uint64_t>(max_epoch_size_, members.size());
 
   telemetry::MetricsRegistry& metrics = kernel_.machine().metrics();
@@ -114,7 +112,6 @@ void Arbiter::BroadcastEpochFlush(const std::vector<unsigned>& members) {
     // Injected broadcast drop: the batched IPI round never reached the
     // remote cores. Fall back to one ordinary process-wide shootdown per
     // member so every compacting tenant still starts TLB-coherent.
-    ++broadcast_fallbacks_;
     kernel_.machine().metrics().counter("fleet.broadcast_fallbacks").Add();
     for (sim::AddressSpace* as : spaces) {
       kernel_.SysFlushProcessTlbs(*as, ctx_);
@@ -122,7 +119,6 @@ void Arbiter::BroadcastEpochFlush(const std::vector<unsigned>& members) {
   }
   // Covered either way: the shared round or the per-member fallback flushes
   // make each member's prologue shootdown redundant.
-  ++epoch_broadcasts_;
   kernel_.machine().metrics().counter("fleet.epoch_broadcasts").Add();
   for (const unsigned id : members) covered_.push_back(slots_[id].as->asid());
 }

@@ -118,13 +118,10 @@ class Arbiter final : public core::EpochFlushCoordinator {
   unsigned waited_rounds(unsigned tenant) const {
     return slots_[tenant].waited_rounds;
   }
-  // Plain counters (live even in SVAGC_TELEMETRY=OFF builds; the fleet.*
-  // metrics mirror them when telemetry is compiled in).
-  std::uint64_t epochs() const { return epochs_; }
-  std::uint64_t epoch_broadcasts() const { return epoch_broadcasts_; }
-  std::uint64_t broadcast_fallbacks() const { return broadcast_fallbacks_; }
+  // Epoch, admission and broadcast totals live in the machine registry
+  // ("fleet.epochs", "fleet.gc_admitted", "fleet.epoch_broadcasts",
+  // "fleet.broadcast_fallbacks"); these have no registry counter.
   std::uint64_t solo_epochs() const { return solo_epochs_; }
-  std::uint64_t gc_admitted() const { return gc_admitted_; }
   std::uint64_t max_epoch_size() const { return max_epoch_size_; }
   std::uint64_t max_waited_rounds() const { return max_waited_rounds_; }
 
@@ -145,11 +142,7 @@ class Arbiter final : public core::EpochFlushCoordinator {
   // ASIDs covered by the current epoch's shared broadcast; single-use.
   std::vector<std::uint64_t> covered_;
 
-  std::uint64_t epochs_ = 0;
-  std::uint64_t epoch_broadcasts_ = 0;
-  std::uint64_t broadcast_fallbacks_ = 0;
   std::uint64_t solo_epochs_ = 0;
-  std::uint64_t gc_admitted_ = 0;
   std::uint64_t max_epoch_size_ = 0;
   std::uint64_t max_waited_rounds_ = 0;
 };

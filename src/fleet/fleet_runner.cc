@@ -392,20 +392,22 @@ FleetResult FleetRun::Run() {
     r.slo_budget_cycles = slo_cycles_;
     r.emergency_gcs = t.emergencies;
     result.slo_violations += t.violations;
-    result.emergency_gcs += t.emergencies;
     result.worst_observed_pause_cycles =
         std::max(result.worst_observed_pause_cycles, t.observed_max);
     result.tenants.push_back(std::move(r));
   }
+  const telemetry::MetricsRegistry& metrics = machine_.metrics();
   result.arbiter_cycles = arbiter_.cycles();
-  result.epochs = arbiter_.epochs();
-  result.epoch_broadcasts = arbiter_.epoch_broadcasts();
-  result.broadcast_fallbacks = arbiter_.broadcast_fallbacks();
+  result.epochs = metrics.CounterValue("fleet.epochs");
+  result.epoch_broadcasts = metrics.CounterValue("fleet.epoch_broadcasts");
+  result.broadcast_fallbacks =
+      metrics.CounterValue("fleet.broadcast_fallbacks");
   result.solo_epochs = arbiter_.solo_epochs();
   result.max_epoch_size = arbiter_.max_epoch_size();
   result.max_waited_rounds = arbiter_.max_waited_rounds();
-  result.ipis_sent = machine_.TotalIpisSent();
-  result.ipi_broadcasts = machine_.metrics().CounterValue("ipi.broadcasts");
+  result.ipis_sent = metrics.CounterValue("ipi.sent");
+  result.ipi_broadcasts = metrics.CounterValue("ipi.broadcasts");
+  result.emergency_gcs = metrics.CounterValue("fleet.emergency_gcs");
   result.total_disturbance_cycles =
       static_cast<double>(machine_.TotalDisturbanceCycles());
   return result;

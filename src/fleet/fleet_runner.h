@@ -65,7 +65,7 @@ struct FleetResult {
   // One entry per tenant, fleet SLO fields filled in.
   std::vector<workloads::RunResult> tenants;
 
-  // Arbiter totals (plain counters — live even with telemetry off).
+  // Arbiter totals.
   double arbiter_cycles = 0;
   std::uint64_t epochs = 0;
   std::uint64_t epoch_broadcasts = 0;
@@ -76,7 +76,7 @@ struct FleetResult {
 
   // Machine totals.
   std::uint64_t ipis_sent = 0;
-  std::uint64_t ipi_broadcasts = 0;  // telemetry counter; 0 when compiled out
+  std::uint64_t ipi_broadcasts = 0;
   double total_disturbance_cycles = 0;
   std::uint64_t emergency_gcs = 0;  // summed over tenants
 

@@ -14,9 +14,20 @@ std::uint32_t NextTracePid() {
 
 }  // namespace
 
+GcCounters::GcCounters(telemetry::MetricsRegistry& metrics)
+    : bytes_copied(metrics.counter("gc.bytes_copied")),
+      objects_moved(metrics.counter("gc.objects_moved")) {}
+
 CollectorBase::CollectorBase(sim::Machine& machine, unsigned gc_threads,
-                             unsigned first_core)
-    : machine_(machine), trace_pid_(NextTracePid()) {
+                             unsigned first_core,
+                             telemetry::MetricsRegistry* shared_metrics)
+    : machine_(machine),
+      own_metrics_(shared_metrics == nullptr
+                       ? std::make_unique<telemetry::MetricsRegistry>()
+                       : nullptr),
+      metrics_(shared_metrics != nullptr ? *shared_metrics : *own_metrics_),
+      counters_(metrics_),
+      trace_pid_(NextTracePid()) {
   SVAGC_CHECK(gc_threads >= 1);
   workers_.reserve(gc_threads);
   for (unsigned i = 0; i < gc_threads; ++i) {
@@ -82,17 +93,6 @@ std::vector<TaskSpan> CollectorBase::WorkerTaskSpans(
 
 void CollectorBase::PublishCycleTelemetry(const rt::GcCycleRecord& rec,
                                           const CycleTasks& tasks) {
-  metrics_.histogram("gc.pause_cycles").Record(rec.Total());
-  metrics_.counter("gc.collections").Store(log_.collections);
-  metrics_.counter("gc.bytes_copied")
-      .Store(log_.bytes_copied.load(std::memory_order_relaxed));
-  metrics_.counter("gc.bytes_swapped")
-      .Store(log_.bytes_swapped.load(std::memory_order_relaxed));
-  metrics_.counter("gc.objects_moved")
-      .Store(log_.objects_moved.load(std::memory_order_relaxed));
-  metrics_.counter("gc.swap_calls")
-      .Store(log_.swap_calls.load(std::memory_order_relaxed));
-
   telemetry::TraceRecorder* tracer = machine_.tracer();
   if (tracer == nullptr) {
     trace_clock_ += rec.Total();

@@ -61,10 +61,23 @@ struct TaskSpan {
 // {0 mark, 1 forward, 2 adjust, 3 compact, 4 other}.
 using CycleTasks = std::array<std::vector<TaskSpan>, 5>;
 
+// The registry counters collectors bump per move, resolved once so the move
+// paths never look a name up. Every writer adds, which lets a front end and
+// its inner collector share one registry.
+struct GcCounters {
+  explicit GcCounters(telemetry::MetricsRegistry& metrics);
+
+  telemetry::Counter& bytes_copied;  // memmove path
+  telemetry::Counter& objects_moved;
+};
+
 class CollectorBase : public rt::CollectorIface {
  public:
+  // `shared_metrics`: publish into that registry instead of owning one (the
+  // generational front end passes its inner collector's).
   CollectorBase(sim::Machine& machine, unsigned gc_threads,
-                unsigned first_core);
+                unsigned first_core,
+                telemetry::MetricsRegistry* shared_metrics = nullptr);
   ~CollectorBase() override;
 
   unsigned gc_threads() const { return static_cast<unsigned>(workers_.size()); }
@@ -81,15 +94,11 @@ class CollectorBase : public rt::CollectorIface {
   // Serial phases run on worker 0's context; returns the cycle delta.
   double RunSerialPhase(const std::function<void(sim::CpuContext&)>& body);
 
-  // Collector-side telemetry: GC counters and the pause histogram live here
-  // ("gc.bytes_copied", "gc.bytes_swapped", "gc.pause_cycles", ...; see
+  // Collector-side telemetry, the only tally of every GC event total
+  // ("gc.bytes_copied", "gc.bytes_swapped", "gc.swap_calls", ...; see
   // DESIGN.md section 8 for the name schema).
   telemetry::MetricsRegistry& metrics() { return metrics_; }
   const telemetry::MetricsRegistry& metrics() const { return metrics_; }
-
-  // Perfetto "process" id of this collector instance (unique per process so
-  // multi-JVM traces separate).
-  std::uint32_t trace_pid() const { return trace_pid_; }
 
   // Convenience: the machine's attached trace sink (null when tracing off).
   telemetry::TraceRecorder* tracer() const { return machine_.tracer(); }
@@ -107,13 +116,14 @@ class CollectorBase : public rt::CollectorIface {
                                                const std::vector<double>& deltas);
 
   // End-of-cycle hook every Collect() implementation calls after
-  // log_.Record(rec): records the pause histogram, republishes the GcLog
-  // totals into metrics(), and — when a tracer is attached — emits the
-  // cycle/phase/task spans on this collector's modeled-cycle trace clock.
+  // log_.Record(rec): advances this collector's modeled-cycle trace clock
+  // and, when a tracer is attached, emits the cycle/phase/task spans on it.
   // Phases are laid out back-to-back in mark, forward, adjust, compact,
   // other order, so per-phase durations sum to the cycle duration exactly.
   void PublishCycleTelemetry(const rt::GcCycleRecord& rec,
                              const CycleTasks& tasks);
+
+  const GcCounters& counters() const { return counters_; }
 
   sim::Machine& machine_;
   GcCosts costs_ = DefaultGcCosts();
@@ -121,7 +131,9 @@ class CollectorBase : public rt::CollectorIface {
  private:
   std::vector<std::unique_ptr<sim::CpuContext>> workers_;
   std::unique_ptr<WorkerGang> gang_;
-  telemetry::MetricsRegistry metrics_;
+  std::unique_ptr<telemetry::MetricsRegistry> own_metrics_;  // null if shared
+  telemetry::MetricsRegistry& metrics_;
+  const GcCounters counters_;
   std::vector<double> capture_base_;
   double trace_clock_ = 0;  // modeled-cycle timestamp of the next cycle span
   const std::uint32_t trace_pid_;

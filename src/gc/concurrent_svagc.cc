@@ -9,7 +9,9 @@ namespace svagc::gc {
 ConcurrentSvagc::ConcurrentSvagc(sim::Machine& machine, unsigned gc_threads,
                                  unsigned first_core,
                                  const ConcurrentSvagcConfig& config)
-    : CollectorBase(machine, gc_threads, first_core), config_(config) {
+    : CollectorBase(machine, gc_threads, first_core),
+      config_(config),
+      concurrent_cycles_(metrics().counter("gc.concurrent_cycles")) {
   SVAGC_CHECK(config_.quantum_cycles > 0);
   SVAGC_CHECK(config_.satb_buffer_capacity >= 1);
 }
@@ -142,9 +144,7 @@ void ConcurrentSvagc::StepMarkQuantum() {
       if (ctx.account.total() - start >= config_.quantum_cycles) break;
     }
   });
-  concurrent_cycles_ += window;
-  metrics().counter("gc.concurrent_cycles")
-      .Add(static_cast<std::uint64_t>(window));
+  concurrent_cycles_.Add(static_cast<std::uint64_t>(window));
   // Marking is complete only when both the stack AND the handed-off buffers
   // are drained; residual (partial) per-mutator buffers are remark's job —
   // which is what makes remark O(SATB buffer), not O(heap).
@@ -266,9 +266,7 @@ void ConcurrentSvagc::StepPlanQuantum() {
       if (ctx.account.total() - start >= config_.quantum_cycles) break;
     }
   });
-  concurrent_cycles_ += window;
-  metrics().counter("gc.concurrent_cycles")
-      .Add(static_cast<std::uint64_t>(window));
+  concurrent_cycles_.Add(static_cast<std::uint64_t>(window));
   if (plan_cursor_ >= top_at_plan_) {
     plan_.new_top = comp_pnt_;
     // Flatten to globally ascending source order — region-ascending,
@@ -314,8 +312,8 @@ void ConcurrentSvagc::MoveOne(rt::Jvm& jvm, sim::CpuContext& ctx,
   ctx.account.Charge(sim::CostKind::kCompute, costs().move_dispatch);
   jvm.address_space().CopyBytes(ctx, move.dst, move.src, move.size,
                                 sim::AddressSpace::CopyLocality::kCold);
-  log_.bytes_copied += move.size;
-  log_.objects_moved += move.objects;
+  counters().bytes_copied.Add(move.size);
+  counters().objects_moved.Add(move.objects);
 }
 
 // Concurrent adjust: every live object is visited once, at its *new*
@@ -374,9 +372,7 @@ void ConcurrentSvagc::StepAdjustQuantum() {
       }
     }
   });
-  concurrent_cycles_ += window;
-  metrics().counter("gc.concurrent_cycles")
-      .Add(static_cast<std::uint64_t>(window));
+  concurrent_cycles_.Add(static_cast<std::uint64_t>(window));
   if (roots_adjusted_ && adjust_cursor_ == live_.size() && allocs_adjusted_) {
     phase_ = ConcPhase::kFinalize;
   }
@@ -397,9 +393,7 @@ void ConcurrentSvagc::StepFinalizeQuantum() {
         if (ctx.account.total() - start >= config_.quantum_cycles) break;
       }
     });
-    concurrent_cycles_ += window;
-    metrics().counter("gc.concurrent_cycles")
-        .Add(static_cast<std::uint64_t>(window));
+    concurrent_cycles_.Add(static_cast<std::uint64_t>(window));
     return;  // the flip runs as its own (next) quantum
   }
 

@@ -158,8 +158,6 @@ class ConcurrentSvagc : public CollectorBase,
   // Largest single indivisible work item (one object visit, one move, ...)
   // charged so far — the slack term in the window bound.
   double max_single_step_cycles() const { return max_single_step_cycles_; }
-  // Modeled cycles spent in concurrent (non-STW) quanta since construction.
-  double concurrent_cycles_total() const { return concurrent_cycles_; }
   // Mark set of the last started cycle (valid from remark until the next
   // BeginCycle): snapshot-reachable plus allocated-black objects.
   std::uint64_t marked_objects() const { return marked_objects_; }
@@ -302,7 +300,9 @@ class ConcurrentSvagc : public CollectorBase,
   rt::GcCycleRecord rec_;
   std::vector<StwWindow> stw_windows_;
   double max_single_step_cycles_ = 0;
-  double concurrent_cycles_ = 0;
+  // "gc.concurrent_cycles": modeled cycles spent in concurrent (non-STW)
+  // quanta, each quantum truncated to whole cycles.
+  telemetry::Counter& concurrent_cycles_;
 };
 
 }  // namespace svagc::gc

@@ -29,8 +29,8 @@ void SerialLisp2::Collect(rt::Jvm& jvm) {
         ctx.account.Charge(sim::CostKind::kCompute, costs().move_dispatch);
         jvm.address_space().CopyBytes(ctx, move.dst, move.src, move.size,
                                       sim::AddressSpace::CopyLocality::kCold);
-        log_.bytes_copied += move.size;
-        ++log_.objects_moved;
+        counters().bytes_copied.Add(move.size);
+        counters().objects_moved.Add();
       }
     }
     for (const auto& [addr, bytes] : plan.fillers) {

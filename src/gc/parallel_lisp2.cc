@@ -444,9 +444,9 @@ void ParallelLisp2::MoveObject(rt::Jvm& jvm, sim::CpuContext& ctx,
   ctx.account.Charge(sim::CostKind::kCompute, costs().move_dispatch);
   jvm.address_space().CopyBytes(ctx, move.dst, move.src, move.size,
                                 sim::AddressSpace::CopyLocality::kCold);
-  log_.bytes_copied += move.size;
+  counters().bytes_copied.Add(move.size);
   // Coalesced runs are one copy but `objects` live objects.
-  log_.objects_moved += move.objects;
+  counters().objects_moved.Add(move.objects);
 }
 
 }  // namespace svagc::gc

@@ -37,8 +37,8 @@ class ShenandoahLike : public ParallelLisp2 {
           static_cast<double>(move.size) *
               jvm.machine().cost().copy_per_byte_dram *
               jvm.machine().BandwidthContentionFactor());
-      log_.bytes_copied += move.size;
-      ++log_.objects_moved;
+      counters().bytes_copied.Add(move.size);
+      counters().objects_moved.Add();
       return;
     }
     ParallelLisp2::MoveObject(jvm, ctx, worker, move);

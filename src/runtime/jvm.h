@@ -9,7 +9,6 @@
 // a safepoint protocol, which the paper does not evaluate.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -40,15 +39,12 @@ struct GcCycleRecord {
   double Total() const { return mark + forward + adjust + compact + other; }
 };
 
-// Aggregated per-collector log the benches read. The byte/object counters
-// are atomic because parallel compaction workers bump them concurrently.
+// Per-collector cycle log the benches read: pauses and phase times. Event
+// totals (bytes moved, swap calls, ...) live in the collector's metrics
+// registry (gc::CollectorBase::metrics(), DESIGN.md section 8).
 struct GcLog {
   LatencyRecorder pauses;              // total STW pause per cycle
   std::vector<GcCycleRecord> cycles;   // per-cycle phase breakdown
-  std::atomic<std::uint64_t> bytes_copied{0};   // memmove path
-  std::atomic<std::uint64_t> bytes_swapped{0};  // SwapVA path (page-rounded)
-  std::atomic<std::uint64_t> objects_moved{0};
-  std::atomic<std::uint64_t> swap_calls{0};
   std::uint64_t collections = 0;
 
   void Record(const GcCycleRecord& rec) {

@@ -119,6 +119,7 @@ FarTier::FarTier(Machine& machine, PhysicalMemory& phys, Translation& table,
       ctr_swapins_(machine.metrics().counter("kernel.tier.swapins")),
       ctr_evictions_(machine.metrics().counter("kernel.tier.evictions")),
       ctr_shootdowns_(machine.metrics().counter("kernel.tier.shootdowns")),
+      ctr_page_flushes_(machine.metrics().counter("tlb.page_flushes")),
       ctr_far_bytes_(
           machine.metrics().counter("kernel.tier.far_bytes_written")) {
   SVAGC_CHECK(config_.resident_limit_pages >= 1);
@@ -186,6 +187,7 @@ bool FarTier::SwapOutLocked(CpuContext& ctx, std::uint64_t vpn,
   // No TLB anywhere may keep the stale translation once the frame is gone.
   machine_.FlushPageAllCores(ctx, asid_, vpn);
   ctr_shootdowns_.Add();
+  ctr_page_flushes_.Add(machine_.num_cores());
   clock_.NoteGone(vpn);
   --resident_;
   evictions_.fetch_add(1, std::memory_order_relaxed);

@@ -185,8 +185,8 @@ class FarTier {
   // Verifier probe: is this slot currently handed out by the allocator?
   bool SlotAllocated(std::uint64_t slot) const { return far_.IsAllocated(slot); }
 
-  // Plain tallies readable under SVAGC_TELEMETRY=OFF; the same totals feed
-  // the kernel.tier.* counters in the machine registry.
+  // This tier's own tallies. They are per tenant, while the kernel.tier.*
+  // counters in the machine registry sum every tenant's tier.
   std::uint64_t faults() const {
     return faults_.load(std::memory_order_relaxed);
   }
@@ -227,6 +227,7 @@ class FarTier {
   telemetry::Counter& ctr_swapins_;
   telemetry::Counter& ctr_evictions_;
   telemetry::Counter& ctr_shootdowns_;
+  telemetry::Counter& ctr_page_flushes_;
   telemetry::Counter& ctr_far_bytes_;
 };
 

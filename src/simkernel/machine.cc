@@ -4,7 +4,12 @@ namespace svagc::sim {
 
 Machine::Machine(unsigned num_cores, const CostProfile& profile,
                  TranslationBackend translation)
-    : num_cores_(num_cores), profile_(profile), translation_(translation) {
+    : num_cores_(num_cores),
+      profile_(profile),
+      translation_(translation),
+      ctr_ipi_sent_(metrics_.counter("ipi.sent")),
+      ctr_ipi_broadcasts_(metrics_.counter("ipi.broadcasts")),
+      ctr_local_flushes_(metrics_.counter("tlb.local_flushes")) {
   SVAGC_CHECK(num_cores >= 1);
   tlbs_.reserve(num_cores);
   disturbance_.reserve(num_cores);
@@ -16,17 +21,16 @@ Machine::Machine(unsigned num_cores, const CostProfile& profile,
 
 void Machine::FlushLocalTlb(CpuContext& ctx, std::uint64_t asid) {
   ctx.account.Charge(CostKind::kTlbFlushLocal, profile_.tlb_flush_local);
-  metrics_.counter("tlb.local_flushes").Add();
+  ctr_local_flushes_.Add();
   tlb(ctx.core_id).FlushAsid(asid);
 }
 
 void Machine::SendTlbShootdown(CpuContext& ctx, std::uint64_t asid) {
-  metrics_.counter("ipi.broadcasts").Add();
+  ctr_ipi_broadcasts_.Add();
   for (unsigned core = 0; core < num_cores_; ++core) {
     if (core == ctx.core_id) continue;
     ctx.account.Charge(CostKind::kIpi, profile_.ipi_send);
-    ipis_sent_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.counter("ipi.sent").Add();
+    ctr_ipi_sent_.Add();
     // The remote core takes the interrupt and flushes: both the handler cost
     // and the flush itself are stolen from whatever runs on that core.
     disturbance_[core]->fetch_add(
@@ -41,7 +45,6 @@ void Machine::FlushPageAllCores(CpuContext& ctx, std::uint64_t asid,
                                 std::uint64_t vpn) {
   ctx.account.Charge(CostKind::kTlbFlushPage,
                      profile_.tlb_flush_page * num_cores_);
-  metrics_.counter("tlb.page_flushes").Add(num_cores_);
   for (unsigned core = 0; core < num_cores_; ++core) {
     tlb(core).FlushPage(asid, vpn);
   }
@@ -50,12 +53,11 @@ void Machine::FlushPageAllCores(CpuContext& ctx, std::uint64_t asid,
 void Machine::SendTlbShootdownMulti(CpuContext& ctx,
                                     std::span<const std::uint64_t> asids) {
   if (asids.empty()) return;
-  metrics_.counter("ipi.broadcasts").Add();
+  ctr_ipi_broadcasts_.Add();
   for (unsigned core = 0; core < num_cores_; ++core) {
     if (core == ctx.core_id) continue;
     ctx.account.Charge(CostKind::kIpi, profile_.ipi_send);
-    ipis_sent_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.counter("ipi.sent").Add();
+    ctr_ipi_sent_.Add();
     // One interrupt, several address spaces: the handler cost amortizes
     // across the batch, the per-asid flushes do not.
     disturbance_[core]->fetch_add(
@@ -75,7 +77,6 @@ std::uint64_t Machine::TotalDisturbanceCycles() const {
 
 void Machine::ResetCounters() {
   for (auto& cell : disturbance_) cell->store(0, std::memory_order_relaxed);
-  ipis_sent_.store(0, std::memory_order_relaxed);
   metrics_.Reset();
 }
 

@@ -72,7 +72,8 @@ class Machine {
   // Charges the caller one tlb_flush_page per core. Deliberately NOT an IPI
   // round — evictions ride the fault path, not the SwapVA shootdown path,
   // so the paper's Eq. 2 IPI accounting (IPIs are a SwapVA/fleet quantity)
-  // stays untouched; the modeled cost is the invlpg work itself.
+  // stays untouched; the modeled cost is the invlpg work itself. The far
+  // tier, its only caller, counts these flushes ("tlb.page_flushes").
   void FlushPageAllCores(CpuContext& ctx, std::uint64_t asid,
                          std::uint64_t vpn);
 
@@ -89,14 +90,11 @@ class Machine {
     return disturbance_[core_id]->load(std::memory_order_relaxed);
   }
   std::uint64_t TotalDisturbanceCycles() const;
-  std::uint64_t TotalIpisSent() const {
-    return ipis_sent_.load(std::memory_order_relaxed);
-  }
   void ResetCounters();
 
-  // Machine-wide telemetry: kernel- and hardware-side counters live here
-  // ("ipi.sent", "ipi.broadcasts", "tlb.local_flushes", "swapva.calls", ...;
-  // see DESIGN.md section 8 for the full name schema).
+  // Machine-wide telemetry, the only tally of every kernel- and hardware-side
+  // event total ("ipi.sent", "ipi.broadcasts", "tlb.local_flushes",
+  // "swapva.calls", ...; see DESIGN.md section 8 for the full name schema).
   telemetry::MetricsRegistry& metrics() { return metrics_; }
   const telemetry::MetricsRegistry& metrics() const { return metrics_; }
 
@@ -139,10 +137,13 @@ class Machine {
   const TranslationBackend translation_;
   std::vector<std::unique_ptr<Tlb>> tlbs_;
   std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> disturbance_;
-  std::atomic<std::uint64_t> ipis_sent_{0};
   std::atomic<unsigned> active_streams_{1};
   std::atomic<std::uint64_t> next_asid_{1};
   telemetry::MetricsRegistry metrics_;
+  // Bumped once per flush or per remote core, so resolved once here.
+  telemetry::Counter& ctr_ipi_sent_;
+  telemetry::Counter& ctr_ipi_broadcasts_;
+  telemetry::Counter& ctr_local_flushes_;
   telemetry::TraceRecorder* tracer_ = nullptr;
 };
 

@@ -41,7 +41,6 @@ SysStatus Kernel::SysSwapVa(AddressSpace& as, CpuContext& ctx, vaddr_t a,
                             vaddr_t b, std::uint64_t pages,
                             const SwapVaOptions& opts) {
   ctx.account.Charge(CostKind::kSyscall, machine_.cost().syscall_entry);
-  swapva_calls_.fetch_add(1, std::memory_order_relaxed);
   ctr_calls_.Add();
   const SysStatus pin_status = ValidatePinned(ctx, opts);
   if (pin_status != SysStatus::kOk) return pin_status;
@@ -74,9 +73,7 @@ SwapVecResult Kernel::SysSwapVaVec(AddressSpace& as, CpuContext& ctx,
                                    const SwapVaOptions& opts) {
   // One kernel entry for the whole batch — the aggregation of Fig. 5(b).
   ctx.account.Charge(CostKind::kSyscall, machine_.cost().syscall_entry);
-  swapva_calls_.fetch_add(1, std::memory_order_relaxed);
   ctr_calls_.Add();
-  hist_vec_len_.Record(static_cast<double>(requests.size()));
   SwapVecResult result;
   const SysStatus pin_status = ValidatePinned(ctx, opts);
   if (pin_status != SysStatus::kOk) {
@@ -179,7 +176,6 @@ Translation::PteRef Kernel::LeafForPteSwap(AddressSpace& as,
     // whichever backend performed the split.
     ctx.account.Charge(CostKind::kPteUpdate,
                        kEntriesPerTable * machine_.cost().pte_update);
-    pmd_splits_.fetch_add(1, std::memory_order_relaxed);
     ctr_pmd_splits_.Add();
     if (as.far_tier() != nullptr) {
       as.far_tier()->NoteUnitSplit(vpn & ~kIndexMask);
@@ -276,21 +272,11 @@ SysStatus Kernel::SwapDisjoint(AddressSpace& as, CpuContext& ctx, vaddr_t a,
     // frames): kernel-side clear_page loop, charged like allocation zeroing.
     as.ZeroBytes(ctx, a, pages << kPageShift);
   }
-  pages_swapped_.fetch_add(pages, std::memory_order_relaxed);
   ctr_pages_.Add(pages);
-  if (pmd_units != 0) {
-    pmd_swaps_.fetch_add(pmd_units, std::memory_order_relaxed);
-    ctr_pmd_swaps_.Add(pmd_units);
-  }
+  if (pmd_units != 0) ctr_pmd_swaps_.Add(pmd_units);
   const std::uint64_t tail_pages = pages - first_page;
-  if (tail_pages != 0) {
-    pte_swaps_.fetch_add(tail_pages, std::memory_order_relaxed);
-    ctr_pte_swaps_.Add(tail_pages);
-  }
-  if (swapped_relinks != 0) {
-    relinks_swapped_.fetch_add(swapped_relinks, std::memory_order_relaxed);
-    ctr_tier_relinks_.Add(swapped_relinks);
-  }
+  if (tail_pages != 0) ctr_pte_swaps_.Add(tail_pages);
+  if (swapped_relinks != 0) ctr_tier_relinks_.Add(swapped_relinks);
   DrainPmdTally(pca);
   DrainPmdTally(pcb);
   return SysStatus::kOk;
@@ -356,9 +342,7 @@ void Kernel::SwapOverlap(AddressSpace& as, CpuContext& ctx, vaddr_t lo,
         ctx.account.Charge(CostKind::kPteUpdate, cost.pte_update);
         flush_unit(cur);
       }
-      pages_swapped_.fetch_add(span, std::memory_order_relaxed);
       ctr_pages_.Add(span);
-      pmd_swaps_.fetch_add(span_u, std::memory_order_relaxed);
       ctr_pmd_swaps_.Add(span_u);
       DrainPmdTally(pc);
       return;
@@ -405,14 +389,9 @@ void Kernel::SwapOverlap(AddressSpace& as, CpuContext& ctx, vaddr_t lo,
     ctx.account.Charge(CostKind::kPteUpdate, cost.pte_update);
     flush_page(cur);
   }
-  pages_swapped_.fetch_add(span, std::memory_order_relaxed);
   ctr_pages_.Add(span);
-  pte_swaps_.fetch_add(span, std::memory_order_relaxed);
   ctr_pte_swaps_.Add(span);
-  if (swapped_relinks != 0) {
-    relinks_swapped_.fetch_add(swapped_relinks, std::memory_order_relaxed);
-    ctr_tier_relinks_.Add(swapped_relinks);
-  }
+  if (swapped_relinks != 0) ctr_tier_relinks_.Add(swapped_relinks);
   DrainPmdTally(pc);
 }
 

@@ -121,8 +121,7 @@ class Kernel {
         ctr_tier_relinks_(
             machine.metrics().counter("kernel.tier.relinks_swapped")),
         ctr_madvise_cold_(
-            machine.metrics().counter("kernel.tier.madvise_cold")),
-        hist_vec_len_(machine.metrics().histogram("swapva.vec_len")) {}
+            machine.metrics().counter("kernel.tier.madvise_cold")) {}
 
   Machine& machine() { return machine_; }
 
@@ -195,29 +194,17 @@ class Kernel {
   void set_fault_hook(FaultHook* hook) { fault_hook_ = hook; }
   FaultHook* fault_hook() const { return fault_hook_; }
 
-  std::uint64_t swapva_calls() const {
-    return swapva_calls_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t pages_swapped() const {
-    return pages_swapped_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t swapva_calls() const { return ctr_calls_.value(); }
+  std::uint64_t pages_swapped() const { return ctr_pages_.value(); }
   // Huge-path tallies. Invariant (the property tests rely on it):
   //   pmd_swaps() * kPagesPerHuge + pte_swaps() == pages_swapped().
-  std::uint64_t pmd_swaps() const {
-    return pmd_swaps_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t pmd_splits() const {
-    return pmd_splits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t pte_swaps() const {
-    return pte_swaps_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t pmd_swaps() const { return ctr_pmd_swaps_.value(); }
+  std::uint64_t pmd_splits() const { return ctr_pmd_splits_.value(); }
+  std::uint64_t pte_swaps() const { return ctr_pte_swaps_.value(); }
   // Swapped-out entries relinked by the swap paths without faulting them in
   // — the far-tier headline: each of these moved a cold page for zero
   // far-tier copy cycles.
-  std::uint64_t relinks_swapped() const {
-    return relinks_swapped_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t relinks_swapped() const { return ctr_tier_relinks_.value(); }
 
  private:
   // Algorithm 1: disjoint ranges, pairwise PTE exchange — plus the PMD
@@ -260,16 +247,9 @@ class Kernel {
 
   Machine& machine_;
   FaultHook* fault_hook_ = nullptr;
-  // Diagnostic totals, bumped from every GC worker's syscalls concurrently;
-  // relaxed atomics — counts matter, ordering does not. The same totals are
-  // mirrored into the machine metrics registry (cached references below) so
-  // harnesses have a single read path.
-  std::atomic<std::uint64_t> swapva_calls_{0};
-  std::atomic<std::uint64_t> pages_swapped_{0};
-  std::atomic<std::uint64_t> pmd_swaps_{0};
-  std::atomic<std::uint64_t> pmd_splits_{0};
-  std::atomic<std::uint64_t> pte_swaps_{0};
-  std::atomic<std::uint64_t> relinks_swapped_{0};
+  // Machine-registry counters, bumped from every GC worker's syscalls
+  // concurrently and resolved once so the syscall paths never look a name
+  // up.
   telemetry::Counter& ctr_calls_;
   telemetry::Counter& ctr_pages_;
   telemetry::Counter& ctr_pin_calls_;
@@ -285,7 +265,6 @@ class Kernel {
   telemetry::Counter& ctr_pte_swaps_;
   telemetry::Counter& ctr_tier_relinks_;
   telemetry::Counter& ctr_madvise_cold_;
-  telemetry::Histogram& hist_vec_len_;
 };
 
 }  // namespace svagc::sim

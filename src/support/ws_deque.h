@@ -5,6 +5,13 @@
 // implementation follows the corrected C11-memory-model version from
 // Lê et al., "Correct and Efficient Work-Stealing for Weak Memory Models"
 // (PPoPP'13), fixed-capacity variant with overflow into a locked vector.
+//
+// The paper's seq_cst fences (Pop: between storing bottom and loading top;
+// Steal: between loading top and bottom) become seq_cst accesses here, the
+// fence-free form of the same protocol: all seq_cst operations share one
+// total order, so owner and thief cannot both miss each other's update and
+// take the same element. GCC rejects atomic_thread_fence under
+// -fsanitize=thread, so this form is also the one TSan can check.
 #pragma once
 
 #include <atomic>
@@ -52,9 +59,8 @@ class WorkStealingDeque {
   // Owner-only.
   std::optional<T> Pop() {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    bottom_.store(b, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_relaxed);
+    bottom_.store(b, std::memory_order_seq_cst);
+    std::int64_t t = top_.load(std::memory_order_seq_cst);
     if (t > b) {
       // Deque was empty; restore and try the overflow list.
       bottom_.store(b + 1, std::memory_order_relaxed);
@@ -76,9 +82,8 @@ class WorkStealingDeque {
 
   // Any thread.
   std::optional<T> Steal() {
-    std::int64_t t = top_.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const std::int64_t b = bottom_.load(std::memory_order_acquire);
+    std::int64_t t = top_.load(std::memory_order_seq_cst);
+    const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
     if (t >= b) return PopOverflow();
     T value = buffer_[static_cast<std::size_t>(t) & mask_].load(
         std::memory_order_relaxed);

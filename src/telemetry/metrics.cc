@@ -5,10 +5,6 @@
 namespace svagc::telemetry {
 
 void Histogram::Record(double x) {
-  if constexpr (!kEnabled) {
-    (void)x;
-    return;
-  }
   SpinLockGuard guard(lock_);
   samples_.push_back(x);
   sum_ += x;

@@ -2,21 +2,17 @@
 //
 // A MetricsRegistry is a flat namespace of named counters and histograms.
 // One registry hangs off each sim::Machine (kernel-side observability:
-// SwapVA calls, IPIs, TLB flushes, PMD-cache hits) and one off each
-// collector (GC-side observability: swapped vs. memmoved bytes, pause-time
-// histogram, per-phase totals). The benches and tests read *these* instead
-// of scraping private fields, so every reported number has one source of
-// truth.
+// SwapVA calls, IPIs, TLB flushes, PMD-cache hits) and one off each tenant's
+// collector (GC-side observability: swapped vs. memmoved bytes, objects
+// moved, plan-optimizer runs). A registry counter is the only tally of its
+// event: the benches and tests read *these* instead of scraping private
+// fields, so every reported number has one source of truth.
 //
-// Two hard requirements shape the design:
-//   * Determinism — two identical runs must produce bit-identical counter
-//     values, so only quantities that are pure functions of the simulated
-//     input are recorded (host-dependent quantities like work-stealing
-//     steal counts are deliberately NOT exported).
-//   * Zero cost when disabled — building with -DSVAGC_TELEMETRY=OFF (which
-//     defines SVAGC_TELEMETRY_DISABLED) turns every mutation into an empty
-//     inline function, so fig11/fig14 reported cycles are unaffected either
-//     way (telemetry never charges a CycleAccount in any configuration).
+// Determinism shapes the design: two identical runs must produce
+// bit-identical counter values, so only quantities that are pure functions
+// of the simulated input are recorded (host-dependent quantities like
+// work-stealing steal counts are deliberately NOT exported). Telemetry never
+// charges a CycleAccount, so it cannot move a modeled cycle.
 #pragma once
 
 #include <atomic>
@@ -29,15 +25,7 @@
 
 #include "support/spin_lock.h"
 
-#ifdef SVAGC_TELEMETRY_DISABLED
-#define SVAGC_TELEMETRY_ENABLED 0
-#else
-#define SVAGC_TELEMETRY_ENABLED 1
-#endif
-
 namespace svagc::telemetry {
-
-inline constexpr bool kEnabled = SVAGC_TELEMETRY_ENABLED != 0;
 
 // Monotonic (Add) or republished-total (Store) unsigned counter. Relaxed
 // atomics: GC workers bump counters concurrently and only the final values
@@ -45,22 +33,12 @@ inline constexpr bool kEnabled = SVAGC_TELEMETRY_ENABLED != 0;
 class Counter {
  public:
   void Add(std::uint64_t n = 1) {
-    if constexpr (kEnabled) {
-      value_.fetch_add(n, std::memory_order_relaxed);
-    } else {
-      (void)n;
-    }
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  // Republishes a cumulative total computed elsewhere (e.g. the collector's
-  // aggregated mover stats at the end of each cycle).
-  void Store(std::uint64_t v) {
-    if constexpr (kEnabled) {
-      value_.store(v, std::memory_order_relaxed);
-    } else {
-      (void)v;
-    }
-  }
+  // Republishes a total computed elsewhere (e.g. the per-core TLB tallies
+  // at harvest time). A counter with more than one writer must use Add.
+  void Store(std::uint64_t v) { value_.store(v, std::memory_order_relaxed); }
 
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
@@ -70,7 +48,7 @@ class Counter {
 };
 
 // Sample-retaining histogram with interpolated percentiles. Sample counts
-// here are small (GC cycles per run, swap-vector lengths), so retaining
+// here are small (one per coalesced plan-optimizer run), so retaining
 // everything is cheaper than maintaining bucket boundaries and keeps the
 // percentiles exact.
 class Histogram {

@@ -46,12 +46,10 @@ EnvTrace& EnvTraceState() {
 }  // namespace
 
 TraceRecorder* EnvTraceRecorder() {
-  if constexpr (!kEnabled) return nullptr;
   return EnvTraceState().recorder;
 }
 
 bool FlushEnvTraceRecorder() {
-  if constexpr (!kEnabled) return true;
   const EnvTrace& state = EnvTraceState();
   if (state.recorder == nullptr) return true;
   return state.recorder->WriteFile(state.path);

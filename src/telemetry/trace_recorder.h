@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "support/spin_lock.h"
-#include "telemetry/metrics.h"
 
 namespace svagc::telemetry {
 
@@ -44,7 +43,6 @@ class TraceRecorder {
  public:
   void AddSpan(std::string cat, std::string name, std::uint32_t pid,
                std::uint32_t tid, double ts, double dur) {
-    if constexpr (!kEnabled) return;
     SpinLockGuard guard(lock_);
     events_.push_back(TraceEvent{std::move(cat), std::move(name), pid, tid,
                                  ts, dur});
@@ -76,8 +74,8 @@ class TraceRecorder {
   std::vector<TraceEvent> events_;
 };
 
-// SVAGC_TRACE_OUT plumbing: when the environment variable names a path (and
-// telemetry is compiled in), returns a process-wide recorder whose contents
+// SVAGC_TRACE_OUT plumbing: when the environment variable names a path,
+// returns a process-wide recorder whose contents
 // are written to that path at process exit; nullptr otherwise. The runner
 // attaches this to every machine it builds, which is what gives *every*
 // bench harness the knob for free.

@@ -362,13 +362,10 @@ OracleResult RunDifferentialOracle(const OracleConfig& config) {
   }
   jvm.collector().Collect(jvm);
   kernel.set_fault_hook(nullptr);
-  result.swapped_bytes = jvm.collector().log().bytes_swapped.load();
-  result.memmoved_bytes = jvm.collector().log().bytes_copied.load();
-  if (const auto* base = dynamic_cast<gc::CollectorBase*>(&jvm.collector())) {
-    const telemetry::MetricsRegistry& metrics = base->metrics();
-    result.metrics_swapped_bytes = metrics.CounterValue("gc.bytes_swapped");
-    result.metrics_memmoved_bytes = metrics.CounterValue("gc.bytes_copied");
-  }
+  const telemetry::MetricsRegistry& metrics =
+      dynamic_cast<gc::CollectorBase&>(jvm.collector()).metrics();
+  result.swapped_bytes = metrics.CounterValue("gc.bytes_swapped");
+  result.memmoved_bytes = metrics.CounterValue("gc.bytes_copied");
   if (config.drop_move) {
     result.moves_dropped =
         static_cast<DropMoveCollector&>(jvm.collector()).moves_dropped();

@@ -139,17 +139,14 @@ struct OracleResult {
   // CompareDigests between oracle runs.
   HeapDigest swap_digest;
 
-  // From the swap arm's digest/cycle, for assertions about coverage.
+  // From the swap arm's digest/cycle, for assertions about coverage. The
+  // byte totals are the swap arm's registry counters ("gc.bytes_swapped" /
+  // "gc.bytes_copied").
   std::uint64_t objects = 0;
   std::uint64_t live_bytes = 0;
   std::uint64_t swapped_bytes = 0;
   std::uint64_t memmoved_bytes = 0;
   std::uint64_t moves_dropped = 0;
-
-  // The swap arm's byte totals as reported by its MetricsRegistry
-  // ("gc.bytes_swapped"/"gc.bytes_copied"). 0 in SVAGC_TELEMETRY=OFF builds.
-  std::uint64_t metrics_swapped_bytes = 0;
-  std::uint64_t metrics_memmoved_bytes = 0;
 
   // Independent prediction of the same totals from the pre/post heap
   // digests alone: BFS liveness over the pre-GC object graph, the sliding

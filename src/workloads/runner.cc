@@ -207,6 +207,9 @@ RunResult HarvestTenant(const RunConfig& config, sim::Machine& machine,
   result.alignment_waste_bytes = jvm.heap().alignment_waste_bytes();
   result.physical_bytes_written = jvm.address_space().phys().bytes_written();
 
+  // Event totals come from the registries, their only tally: the tenant's
+  // far tier for per-tenant traffic, the collector's for GC events and the
+  // machine's for kernel and hardware events.
   if (const sim::FarTier* tier = jvm.address_space().far_tier()) {
     result.tier_faults = tier->faults();
     result.tier_swapins = tier->swapins();
@@ -214,27 +217,16 @@ RunResult HarvestTenant(const RunConfig& config, sim::Machine& machine,
     result.tier_far_bytes_written = tier->far_bytes_written();
     result.tier_relinks_swapped = jvm.kernel().relinks_swapped();
   }
-
-  // Single source of truth: when telemetry is compiled in, the reported
-  // counters come from the registries (which mirror the legacy fields — the
-  // telemetry tests assert agreement); the legacy reads remain the fallback
-  // for SVAGC_TELEMETRY=OFF builds.
-  machine.PublishTlbMetrics();
-  auto* base = dynamic_cast<gc::CollectorBase*>(&jvm.collector());
-  if (telemetry::kEnabled && base != nullptr) {
+  if (auto* base = dynamic_cast<gc::CollectorBase*>(&jvm.collector())) {
     const telemetry::MetricsRegistry& gc_metrics = base->metrics();
     result.bytes_copied = gc_metrics.CounterValue("gc.bytes_copied");
     result.bytes_swapped = gc_metrics.CounterValue("gc.bytes_swapped");
     result.swap_calls = gc_metrics.CounterValue("gc.swap_calls");
-    result.ipis_sent = machine.metrics().CounterValue("ipi.sent");
-    result.machine_counters = machine.metrics().SnapshotCounters();
     result.gc_counters = gc_metrics.SnapshotCounters();
-  } else {
-    result.bytes_copied = log.bytes_copied.load();
-    result.bytes_swapped = log.bytes_swapped.load();
-    result.swap_calls = log.swap_calls.load();
-    result.ipis_sent = machine.TotalIpisSent();
   }
+  machine.PublishTlbMetrics();
+  result.ipis_sent = machine.metrics().CounterValue("ipi.sent");
+  result.machine_counters = machine.metrics().SnapshotCounters();
 
   if (config.verify_heap) {
     const rt::VerifyResult verify = rt::VerifyHeap(jvm);
@@ -246,6 +238,14 @@ RunResult HarvestTenant(const RunConfig& config, sim::Machine& machine,
     SVAGC_CHECK(verify.ok);
   }
   return result;
+}
+
+std::optional<std::uint64_t> FindCounter(const CounterSnapshot& snapshot,
+                                         std::string_view name) {
+  for (const auto& [key, value] : snapshot) {
+    if (key == name) return value;
+  }
+  return std::nullopt;
 }
 
 const char* CollectorKindName(CollectorKind kind) {

@@ -4,7 +4,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -29,6 +31,13 @@ enum class CollectorKind {
 };
 
 const char* CollectorKindName(CollectorKind kind);
+
+// A name-ordered registry snapshot, as RunResult exports them.
+using CounterSnapshot = std::vector<std::pair<std::string, std::uint64_t>>;
+
+// Counter `name` of `snapshot`; nullopt when the run never created it.
+std::optional<std::uint64_t> FindCounter(const CounterSnapshot& snapshot,
+                                         std::string_view name);
 
 struct RunConfig {
   std::string workload;
@@ -144,20 +153,20 @@ struct RunResult {
   std::uint64_t alignment_waste_bytes = 0;  // paper bound: < 5% of heap
   std::uint64_t physical_bytes_written = 0;  // NVM-wear proxy (section VI)
 
-  // Far-tier traffic (zero without a far tier). Readable in
-  // SVAGC_TELEMETRY=OFF builds — these come from the tier's plain tallies,
-  // not the metrics registry.
+  // Far-tier traffic (zero without a far tier). These come from the
+  // tenant's own tier, not the machine registry, which sums every tenant;
+  // only the relink count is the machine's (kernel.tier.relinks_swapped).
   std::uint64_t tier_faults = 0;
   std::uint64_t tier_swapins = 0;
   std::uint64_t tier_evictions = 0;
   std::uint64_t tier_far_bytes_written = 0;
   std::uint64_t tier_relinks_swapped = 0;  // SwapVA relinks of swapped PTEs
 
-  // Name-ordered counter snapshots from the telemetry registries (empty in
-  // SVAGC_TELEMETRY=OFF builds): machine-side (IPIs, TLB, SwapVA, PMD cache)
-  // and collector-side (GC byte/object totals).
-  std::vector<std::pair<std::string, std::uint64_t>> machine_counters;
-  std::vector<std::pair<std::string, std::uint64_t>> gc_counters;
+  // Name-ordered counter snapshots from the telemetry registries:
+  // machine-side (IPIs, TLB, SwapVA, PMD cache) and collector-side (GC
+  // byte/object totals).
+  CounterSnapshot machine_counters;
+  CounterSnapshot gc_counters;
 };
 
 // --- building blocks shared with the fleet layer (src/fleet) ----------------

@@ -241,11 +241,11 @@ TEST(SvagcCollector, SwapsLargeObjectsAndCopiesSmallOnes) {
   jvm.RetireAllTlabs();
   jvm.collector().Collect(jvm);
 
-  const core::MoveObjectStats stats = svagc->AggregateMoveStats();
-  EXPECT_GE(stats.objects_swapped, 1u);
-  EXPECT_GE(stats.objects_copied, 1u);
-  EXPECT_GE(stats.bytes_swapped, 20 * sim::kPageSize);
-  EXPECT_GT(stats.swap_calls_issued, 0u);
+  const telemetry::MetricsRegistry& metrics = svagc->metrics();
+  EXPECT_GE(metrics.CounterValue("gc.objects_swapped"), 1u);
+  EXPECT_GE(metrics.CounterValue("gc.objects_copied"), 1u);
+  EXPECT_GE(metrics.CounterValue("gc.bytes_swapped"), 20 * sim::kPageSize);
+  EXPECT_GT(metrics.CounterValue("gc.swap_calls"), 0u);
   const rt::VerifyResult verify = rt::VerifyHeap(jvm);
   EXPECT_TRUE(verify.ok) << verify.error;
 }
@@ -269,7 +269,7 @@ TEST(SvagcCollector, ThresholdIsRespected) {
   jvm.View(jvm.roots().Get(root)).set_ref(0, below);
   jvm.RetireAllTlabs();
   jvm.collector().Collect(jvm);
-  EXPECT_EQ(svagc->AggregateMoveStats().objects_swapped, 0u);
+  EXPECT_EQ(svagc->metrics().CounterValue("gc.objects_swapped"), 0u);
 }
 
 TEST(SvagcCollector, PinnedModeSendsOneShootdownPerCycle) {
@@ -290,7 +290,8 @@ TEST(SvagcCollector, PinnedModeSendsOneShootdownPerCycle) {
   jvm.collector().Collect(jvm);
   // Algorithm 4: exactly one process-wide shootdown (c-1 IPIs), regardless
   // of how many objects were swapped.
-  EXPECT_EQ(sim.machine.TotalIpisSent(), sim.machine.num_cores() - 1);
+  EXPECT_EQ(sim.machine.metrics().CounterValue("ipi.sent"),
+            sim.machine.num_cores() - 1);
 }
 
 TEST(SvagcCollector, NaiveModeShootsDownPerCall) {
@@ -316,7 +317,7 @@ TEST(SvagcCollector, NaiveModeShootsDownPerCall) {
   jvm.collector().Collect(jvm);
   // l * (c-1) IPIs: one broadcast per swapped object (Eq. 2's unoptimized
   // numerator).
-  EXPECT_EQ(sim.machine.TotalIpisSent(),
+  EXPECT_EQ(sim.machine.metrics().CounterValue("ipi.sent"),
             kLarge * (sim.machine.num_cores() - 1));
 }
 
@@ -325,7 +326,9 @@ TEST(SvagcCollector, LogExposesSwapTraffic) {
   rt::JvmConfig config;
   config.heap.capacity = 8 << 20;
   rt::Jvm jvm(sim.machine, sim.phys, sim.kernel, config);
-  jvm.set_collector(std::make_unique<core::SvagcCollector>(sim.machine, 2, 0));
+  auto svagc = std::make_unique<core::SvagcCollector>(sim.machine, 2, 0);
+  const telemetry::MetricsRegistry& metrics = svagc->metrics();
+  jvm.set_collector(std::move(svagc));
   const auto root = jvm.roots().Add(jvm.New(2, 2, 0));
   jvm.New(1, 0, 100 * 1024);  // garbage
   const rt::vaddr_t obj = jvm.New(1, 0, 16 * sim::kPageSize);
@@ -334,8 +337,8 @@ TEST(SvagcCollector, LogExposesSwapTraffic) {
   jvm.collector().Collect(jvm);
   const rt::GcLog& log = jvm.collector().log();
   EXPECT_EQ(log.collections, 1u);
-  EXPECT_GT(log.bytes_swapped.load(), 0u);
-  EXPECT_GT(log.swap_calls.load(), 0u);
+  EXPECT_GT(metrics.CounterValue("gc.bytes_swapped"), 0u);
+  EXPECT_GT(metrics.CounterValue("gc.swap_calls"), 0u);
   EXPECT_EQ(log.cycles.size(), 1u);
   EXPECT_GT(log.cycles[0].compact, 0.0);
 }

@@ -74,11 +74,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Telemetry cross-check: for one GC cycle under the oracle, the swapped and
-// memmoved byte totals must agree across three independent accountings —
-// the collector's GcLog, the telemetry MetricsRegistry, and a prediction
-// replayed purely from the pre/post heap snapshot diff (BFS liveness +
-// sliding-order pairing + Algorithm 3's dispatch test). Any drift between
-// the registry and the heap's actual movement is a telemetry lie.
+// memmoved byte totals in the collector's MetricsRegistry (their only tally)
+// must equal a prediction replayed purely from the pre/post heap snapshot
+// diff (BFS liveness + sliding-order pairing + Algorithm 3's dispatch test).
+// Any drift between the registry and the heap's actual movement is a
+// telemetry lie.
 class MetricsAgreementSweep : public ::testing::TestWithParam<HeapShape> {};
 
 TEST_P(MetricsAgreementSweep, MetricsMatchHeapSnapshotDiff) {
@@ -89,13 +89,6 @@ TEST_P(MetricsAgreementSweep, MetricsMatchHeapSnapshotDiff) {
   ASSERT_TRUE(result.prediction_valid);
   EXPECT_EQ(result.predicted_swapped_bytes, result.swapped_bytes);
   EXPECT_EQ(result.predicted_memmoved_bytes, result.memmoved_bytes);
-
-  if (telemetry::kEnabled) {
-    EXPECT_EQ(result.metrics_swapped_bytes, result.swapped_bytes);
-    EXPECT_EQ(result.metrics_memmoved_bytes, result.memmoved_bytes);
-    EXPECT_EQ(result.metrics_swapped_bytes + result.metrics_memmoved_bytes,
-              result.predicted_swapped_bytes + result.predicted_memmoved_bytes);
-  }
   if (GetParam() == HeapShape::kLargeHeavy) {
     EXPECT_GT(result.predicted_swapped_bytes, 0u);
   } else {

@@ -370,9 +370,10 @@ TEST_F(FaultInjectionTest, RefusedPinFallsBackToGlobalShootdowns) {
   jvm.RetireAllTlabs();
   jvm.collector().Collect(jvm);
 
-  EXPECT_EQ(collector->pin_refusals(), 1u);
+  const telemetry::MetricsRegistry& metrics = collector->metrics();
+  EXPECT_EQ(metrics.CounterValue("gc.pin_refusals"), 1u);
   // The cycle still swapped (with per-call shootdowns) and stayed correct.
-  EXPECT_GT(collector->AggregateMoveStats().objects_swapped, 0u);
+  EXPECT_GT(metrics.CounterValue("gc.objects_swapped"), 0u);
   EXPECT_EQ(ChecksumReachable(jvm), checksum);
   const auto report = verify::InvariantRegistry::Default().RunAll(jvm);
   EXPECT_TRUE(report.ok) << report.Describe();
@@ -401,7 +402,7 @@ TEST_F(FaultInjectionTest, FullCollectionSurvivesInjectedVecFault) {
   jvm.RetireAllTlabs();
   jvm.collector().Collect(jvm);
 
-  EXPECT_GE(collector->AggregateMoveStats().swap_faults_recovered, 1u);
+  EXPECT_GE(collector->metrics().CounterValue("gc.swap_faults_recovered"), 1u);
   EXPECT_EQ(ChecksumReachable(jvm), checksum);
   const auto report = verify::InvariantRegistry::Default().RunAll(jvm);
   EXPECT_TRUE(report.ok) << report.Describe();
@@ -562,7 +563,10 @@ class ConcurrentFaultRig {
 
   rt::Jvm& jvm() { return *jvm_; }
   sim::Kernel& kernel() { return sim_.kernel; }
-  core::ConcurrentSvagcCollector& collector() { return *collector_; }
+  // The collector's registry counter `name`.
+  std::uint64_t Counter(const char* name) const {
+    return collector_->metrics().CounterValue(name);
+  }
 
   // One full cycle, stepped; between quanta every rooted object is read
   // through the barrier and its stamp checked — a stale pre-forwarding
@@ -606,7 +610,7 @@ TEST_F(FaultInjectionTest, ConcurrentEvacuationRecoversFromSwapFault) {
   rig.DriveCycle();
 
   EXPECT_EQ(injector_.fires(sim::FaultPoint::kSwapVaFault), 1u);
-  EXPECT_GE(rig.collector().MoveStats().swap_faults_recovered, 1u);
+  EXPECT_GE(rig.Counter("gc.swap_faults_recovered"), 1u);
   EXPECT_GE(rig.EvacWindows(), 2u);  // the fault really was mid-evacuation
   EXPECT_EQ(ChecksumReachable(rig.jvm()), checksum);
   const auto report = verify::InvariantRegistry::Default().RunAll(rig.jvm());
@@ -629,7 +633,7 @@ TEST_F(FaultInjectionTest, ConcurrentRelinkSurvivesDroppedWindowFlush) {
   const std::uint64_t fires =
       injector_.fires(sim::FaultPoint::kDropEpochBroadcast);
   EXPECT_GE(fires, 2u);  // one per evacuation window, several windows
-  EXPECT_EQ(rig.collector().window_flush_fallbacks(), fires);
+  EXPECT_EQ(rig.Counter("gc.window_flush_fallbacks"), fires);
   EXPECT_GE(rig.EvacWindows(), 2u);
   EXPECT_EQ(ChecksumReachable(rig.jvm()), checksum);
   const auto report = verify::InvariantRegistry::Default().RunAll(rig.jvm());
@@ -648,9 +652,9 @@ TEST_F(FaultInjectionTest, ConcurrentEvacuationRefusedPinFallsBack) {
   rig.DriveCycle();
 
   EXPECT_EQ(injector_.fires(sim::FaultPoint::kRefusePin), 1u);
-  EXPECT_EQ(rig.collector().pin_refusals(), 1u);
+  EXPECT_EQ(rig.Counter("gc.pin_refusals"), 1u);
   // Unpinned regime: the per-window batched flush path must not have run.
-  EXPECT_EQ(rig.collector().window_flush_fallbacks(), 0u);
+  EXPECT_EQ(rig.Counter("gc.window_flush_fallbacks"), 0u);
   EXPECT_EQ(ChecksumReachable(rig.jvm()), checksum);
   const auto report = verify::InvariantRegistry::Default().RunAll(rig.jvm());
   EXPECT_TRUE(report.ok) << report.Describe();

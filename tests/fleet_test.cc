@@ -97,12 +97,13 @@ TEST(FleetCounters, MultiAsidFlushIsOneBroadcast) {
   ASSERT_TRUE(sim.machine.tlb(1).Lookup(a.asid(), vpn_a).hit);
   ASSERT_TRUE(sim.machine.tlb(1).Lookup(b.asid(), vpn_b).hit);
 
-  const std::uint64_t ipis_before = sim.machine.TotalIpisSent();
+  const telemetry::MetricsRegistry& metrics = sim.machine.metrics();
+  const std::uint64_t ipis_before = metrics.CounterValue("ipi.sent");
   sim::CpuContext arbiter_ctx(sim.machine, 0);
   std::vector<sim::AddressSpace*> spaces = {&a, &b};
   ASSERT_EQ(sim.kernel.SysFlushFleetTlbs(spaces, arbiter_ctx),
             sim::SysStatus::kOk);
-  EXPECT_EQ(sim.machine.TotalIpisSent() - ipis_before, 3u);  // cores - 1
+  EXPECT_EQ(metrics.CounterValue("ipi.sent") - ipis_before, 3u);  // cores - 1
   EXPECT_FALSE(sim.machine.tlb(1).Lookup(a.asid(), vpn_a).hit);
   EXPECT_FALSE(sim.machine.tlb(1).Lookup(b.asid(), vpn_b).hit);
 }

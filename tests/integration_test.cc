@@ -67,6 +67,9 @@ std::uint64_t RunAndHash(const std::string& workload_name, CollectorKind kind) {
     case CollectorKind::kSerialLisp2:
       jvm.set_collector(std::make_unique<gc::SerialLisp2>(sim.machine, 0));
       break;
+    case CollectorKind::kConcurrentSvagc:
+      ADD_FAILURE() << "this sweep builds stop-the-world collectors only";
+      return 0;
   }
   workload->Setup(jvm);
   for (unsigned i = 0; i < 15; ++i) workload->Iterate(jvm);

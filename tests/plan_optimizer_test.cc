@@ -267,11 +267,13 @@ TEST(PlanOptimizerSwapVaConservation, RunInteriorPagesSwapExactlyOnce) {
   EXPECT_GE(plan.runs_coalesced, 1u);
   EXPECT_GE(plan.objects_in_runs, 256u);
 
-  const core::MoveObjectStats stats = svagc->AggregateMoveStats();
+  const telemetry::MetricsRegistry& metrics = svagc->metrics();
+  const std::uint64_t bytes_swapped = metrics.CounterValue("gc.bytes_swapped");
+  const std::uint64_t bytes_copied = metrics.CounterValue("gc.bytes_copied");
   // Interior swaps happened (no member object is SwapVA-sized on its own)…
-  EXPECT_GT(stats.bytes_swapped, 0u);
-  EXPECT_GT(stats.objects_swapped, 0u);
-  EXPECT_EQ(stats.swap_faults_recovered, 0u);
+  EXPECT_GT(bytes_swapped, 0u);
+  EXPECT_GT(metrics.CounterValue("gc.objects_swapped"), 0u);
+  EXPECT_EQ(metrics.CounterValue("gc.swap_faults_recovered"), 0u);
   // …and conservation holds: runs are whole live objects sliding rigidly, so
   // swapped + copied bytes equal the live bytes moved exactly — the swap
   // path never page-rounds past a run (unlike lone large objects) and no
@@ -279,10 +281,9 @@ TEST(PlanOptimizerSwapVaConservation, RunInteriorPagesSwapExactlyOnce) {
   // span, memmoved.
   const std::uint64_t table_bytes =
       jvm.View(jvm.roots().Get(table)).size();
-  EXPECT_EQ(stats.bytes_swapped + stats.bytes_copied,
-            span_bytes + table_bytes);
+  EXPECT_EQ(bytes_swapped + bytes_copied, span_bytes + table_bytes);
   // The swapped total is exactly the run interior the plan promised.
-  EXPECT_EQ(stats.bytes_swapped % sim::kPageSize, 0u);
+  EXPECT_EQ(bytes_swapped % sim::kPageSize, 0u);
 
   EXPECT_EQ(ChecksumReachable(jvm), checksum);
   const rt::VerifyResult verify = rt::VerifyHeap(jvm);

@@ -220,7 +220,6 @@ TEST(SwapVaProperty, AggregationIsSemanticallyTransparent) {
 // the collector's timeline with no gaps (the spans are laid out from the
 // same GcCycleRecord the pause accounting reads, summed in the same order).
 TEST(TelemetryProperty, PhaseSpansPartitionCycleSpans) {
-  if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   Rng rng(41);
   const char* const kWorkloads[] = {"lrucache", "sparse.large", "bisort",
                                     "compress"};
@@ -267,7 +266,6 @@ TEST(TelemetryProperty, PhaseSpansPartitionCycleSpans) {
 // the naive per-call policy sends one shootdown per SwapVA kernel entry
 // (the l-bar-times-c regime the paper's Fig. 9 measures).
 TEST(TelemetryProperty, IpiCountersMatchEq2Bound) {
-  if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   constexpr unsigned kCores = 8;
   auto run = [&](workloads::CollectorKind kind) {
     workloads::RunConfig config;
@@ -279,10 +277,7 @@ TEST(TelemetryProperty, IpiCountersMatchEq2Bound) {
     return workloads::RunWorkload(config);
   };
   auto counter = [](const workloads::RunResult& result, const char* name) {
-    for (const auto& [key, value] : result.machine_counters) {
-      if (key == name) return value;
-    }
-    return std::uint64_t{0};
+    return workloads::FindCounter(result.machine_counters, name).value_or(0);
   };
   const auto pinned = run(workloads::CollectorKind::kSvagc);
   const auto naive = run(workloads::CollectorKind::kSvagcNaiveTlb);

@@ -197,7 +197,7 @@ TEST(Machine, ShootdownChargesSenderAndDisturbsOthers) {
   machine.tlb(0).Insert(9, 1, 1);
   machine.tlb(2).Insert(9, 1, 1);
   machine.SendTlbShootdown(ctx, /*asid=*/9);
-  EXPECT_EQ(machine.TotalIpisSent(), 3u);
+  EXPECT_EQ(machine.metrics().CounterValue("ipi.sent"), 3u);
   EXPECT_DOUBLE_EQ(ctx.account.ByKind(CostKind::kIpi),
                    3 * machine.cost().ipi_send);
   EXPECT_EQ(machine.DisturbanceCycles(1), 0u);  // sender undisturbed

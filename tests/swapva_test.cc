@@ -266,7 +266,8 @@ TEST_P(SwapVaTest, GlobalPolicyShootsDownOtherCores) {
   SwapVaOptions global = opts_;
   global.tlb_policy = TlbPolicy::kGlobalPerCall;
   kernel_.SysSwapVa(as_, ctx_, PageAddr(0), PageAddr(100), 2, global);
-  EXPECT_EQ(machine_.TotalIpisSent(), machine_.num_cores() - 1);
+  EXPECT_EQ(machine_.metrics().CounterValue("ipi.sent"),
+            machine_.num_cores() - 1);
 }
 
 TEST_P(SwapVaTest, LocalPolicySendsNoIpis) {
@@ -274,7 +275,7 @@ TEST_P(SwapVaTest, LocalPolicySendsNoIpis) {
   SwapVaOptions local = opts_;
   local.tlb_policy = TlbPolicy::kLocalOnly;
   kernel_.SysSwapVa(as_, ctx_, PageAddr(0), PageAddr(100), 2, local);
-  EXPECT_EQ(machine_.TotalIpisSent(), 0u);
+  EXPECT_EQ(machine_.metrics().CounterValue("ipi.sent"), 0u);
 }
 
 TEST_P(SwapVaTest, LocalTlbIsFlushedAfterSwap) {

@@ -386,18 +386,9 @@ TEST(TierGcAdvice, DensePrefixAdviceDemotesColdPages) {
   // eviction counts are NOT comparable across the two runs — advising cold
   // pages out early *reduces* later demand evictions, and exact totals are
   // schedule-dependent under threaded GC workers.)
-  bool found = false;
-  std::uint64_t advised_pages = 0;
-  for (const auto& [name, value] : advised.gc_counters) {
-    if (name == "gc.advised_cold_pages") {
-      found = true;
-      advised_pages = value;
-    }
-  }
-  if (!advised.gc_counters.empty()) {  // empty in SVAGC_TELEMETRY=OFF builds
-    EXPECT_TRUE(found);
-    EXPECT_GT(advised_pages, 0u);
-  }
+  EXPECT_GT(
+      workloads::FindCounter(advised.gc_counters, "gc.advised_cold_pages"),
+      0u);
 }
 
 // --- cross-backend differential sweep under overcommit ------------------------

@@ -228,7 +228,6 @@ INSTANTIATE_TEST_SUITE_P(Backends, TranslationCounters,
                          BackendName);
 
 TEST_P(TranslationCounters, BackendSignatureInCounters) {
-  if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   as_.MapRange(kBase, 256 * kPageSize);
   kernel_.SysSwapVa(as_, ctx_, kBase, kBase + 128 * kPageSize, 16,
                     sim::SwapVaOptions{});
@@ -248,7 +247,6 @@ TEST_P(TranslationCounters, BackendSignatureInCounters) {
 }
 
 TEST_P(TranslationCounters, SnapshotIsNameOrderedAndComplete) {
-  if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   // The counters are wired at AddressSpace construction, so they appear in
   // the machine snapshot (at zero) before any translation activity.
   const auto snapshot = machine_.metrics().SnapshotCounters();
