@@ -15,7 +15,6 @@
 #include <string>
 
 #include "core/svagc_collector.h"
-#include "gc/parallel_gc.h"
 #include "gc/shenandoah_gc.h"
 #include "runtime/jvm.h"
 #include "support/rng.h"
@@ -42,7 +41,7 @@ std::unique_ptr<gc::CollectorBase> MakeCollector(const std::string& name,
   }
   *align_large = false;
   if (name == "parallelgc") {
-    return std::make_unique<gc::ParallelGcLike>(machine, 8, 0);
+    return std::make_unique<gc::ParallelLisp2>(machine, 8, 0, "ParallelGC");
   }
   if (name == "shenandoah") {
     return std::make_unique<gc::ShenandoahLike>(machine, 8, 0);

@@ -51,7 +51,6 @@ int main() {
               jvm.heap().used() / 1048576.0);
 
   // 4. Collect. (Normally triggered automatically on allocation failure.)
-  jvm.RetireAllTlabs();
   jvm.collector().Collect(jvm);
 
   // 5. Inspect. The root slots were forwarded; data survived; the large

@@ -635,22 +635,9 @@ void GenerationalCollector::AbandonYoungForFullGc() {
   young_starved_ = false;
 }
 
-void GenerationalCollector::Collect(rt::Jvm& jvm) {
-  if (inner_->cycle_active()) {
-    // Allocation failure while a stepped cycle is open (arbiter-driven):
-    // finishing the in-flight cycle IS the requested collection.
-    FinishCycle();
-    return;
-  }
-  BeginCycle(jvm);
-  FinishCycle();
-}
-
-void GenerationalCollector::BeginCycle(rt::Jvm& jvm) {
-  SVAGC_CHECK(!inner_->cycle_active());
+void GenerationalCollector::ArmCycle(rt::Jvm& jvm) {
   collecting_ = true;
   AbandonYoungForFullGc();
-  cycle_jvm_ = &jvm;
   inner_->BeginCycle(jvm);
 }
 
@@ -672,7 +659,6 @@ void GenerationalCollector::MirrorFinishedInnerCycle() {
     ++full_collections_;
   }
   governor_.NoteFullGc();
-  cycle_jvm_ = nullptr;
   collecting_ = false;
 }
 
@@ -680,7 +666,7 @@ void GenerationalCollector::MirrorFinishedInnerCycle() {
 
 void GenerationalCollector::VerifyRememberedSetAgainstHeap(rt::Jvm& jvm) {
   if (young_ == nullptr || !young_->attached()) return;
-  jvm.RetireAllTlabs();  // the walk needs a parsable heap
+  jvm.MakeTlabsParsable();  // the walk needs a parsable heap
   std::unordered_set<rt::vaddr_t> covered = remset_;
   for (const auto& buf : ssb_) covered.insert(buf.begin(), buf.end());
   jvm.heap().ForEachObject([&](rt::vaddr_t addr, std::uint64_t /*size*/) {

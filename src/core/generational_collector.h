@@ -39,11 +39,13 @@
 //     heap exhaustion still forces a full cycle through Jvm::New.
 //
 //   * Phase engine — BeginCycle/StepPhase delegate to the inner collector
-//     (abandoning the nursery first), so the fleet arbiter and the epoch
-//     TLB-flush machinery drive a generational tenant unchanged. Finished
-//     inner cycles are replayed into this collector's own GcLog, and both
-//     collectors publish event totals into the inner collector's metrics
-//     registry — the harness harvests the outer collector only.
+//     (abandoning the nursery first; the inner cycle retires the TLABs), so
+//     the fleet arbiter and the epoch TLB-flush machinery drive a
+//     generational tenant unchanged, and the front end's own full GCs need
+//     no heap preparation. Finished inner cycles are replayed into this
+//     collector's own GcLog, and both collectors publish event totals into
+//     the inner collector's metrics registry — the harness harvests the
+//     outer collector only.
 #pragma once
 
 #include <cstdint>
@@ -108,7 +110,6 @@ struct MinorCycleStats {
 };
 
 class GenerationalCollector final : public gc::CollectorBase,
-                                    public gc::PhaseEngine,
                                     public rt::GcBarrier,
                                     public rt::AllocFrontEnd {
  public:
@@ -123,11 +124,9 @@ class GenerationalCollector final : public gc::CollectorBase,
 
   const char* name() const override { return "GenerationalSVAGC"; }
 
-  // Full collection: abandon the nursery, run the inner cycle, mirror it.
-  void Collect(rt::Jvm& jvm) override;
-
-  // --- gc::PhaseEngine (fleet-arbiter seam) -------------------------------
-  void BeginCycle(rt::Jvm& jvm) override;
+  // --- stepwise engine (fleet-arbiter seam) -------------------------------
+  // A full collection abandons the nursery, runs the inner cycle, and
+  // mirrors it into this collector's log.
   void StepPhase() override;
   bool cycle_active() const override { return inner_->cycle_active(); }
   bool at_relocation_boundary() const override {
@@ -169,8 +168,13 @@ class GenerationalCollector final : public gc::CollectorBase,
 
   // The superset oracle: walks every old-space object and CHECKs that each
   // old→young reference slot is covered by the remembered set (drained
-  // entries ∪ pending store buffers). Retires TLABs first (heap walk).
+  // entries ∪ pending store buffers). Makes the TLABs parsable first (heap
+  // walk) without closing them, so running it leaves later allocation
+  // exactly where it would have been.
   void VerifyRememberedSetAgainstHeap(rt::Jvm& jvm);
+
+ protected:
+  void ArmCycle(rt::Jvm& jvm) override;
 
  private:
   struct Survivor {
@@ -237,8 +241,6 @@ class GenerationalCollector final : public gc::CollectorBase,
   // Inner-log cycles already replayed into this collector's log.
   std::size_t inner_cycles_seen_ = 0;
 
-  // The Jvm a stepped cycle is bound to (BeginCycle..final StepPhase).
-  rt::Jvm* cycle_jvm_ = nullptr;
   // Reentrancy guard: allocations issued while a collection is running
   // (there are none today, but a declined fallback is safer than a hang).
   bool collecting_ = false;

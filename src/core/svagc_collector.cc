@@ -6,7 +6,8 @@ namespace svagc::core {
 
 SvagcCollector::SvagcCollector(sim::Machine& machine, unsigned gc_threads,
                                unsigned first_core, const SvagcConfig& config)
-    : gc::ParallelLisp2(machine, gc_threads, first_core, config.region_bytes),
+    : gc::ParallelLisp2(machine, gc_threads, first_core, "SVAGC",
+                        config.region_bytes),
       config_(config),
       pin_refusals_(metrics().counter("gc.pin_refusals")) {
   if (!config_.pinned_compaction) {

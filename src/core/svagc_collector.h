@@ -50,8 +50,6 @@ class SvagcCollector : public gc::ParallelLisp2 {
                  unsigned first_core, const SvagcConfig& config = {});
   ~SvagcCollector() override;
 
-  const char* name() const override { return "SVAGC"; }
-
   const SvagcConfig& config() const { return config_; }
 
   // The swap threshold the coming cycle will dispatch with: the adaptive

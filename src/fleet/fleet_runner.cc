@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "gc/parallel_lisp2.h"
-#include "gc/phase_engine.h"
+#include "gc/collector.h"
 #include "simkernel/phys_mem.h"
 #include "support/check.h"
 #include "support/rng.h"
@@ -41,7 +40,6 @@ std::uint64_t HashDigest(const verify::HeapDigest& digest) {
 struct TenantState {
   unsigned id = 0;
   workloads::TenantBundle bundle;
-  gc::PhaseEngine* stepper = nullptr;  // non-null iff stepwise-capable
 
   // Open-loop arrival clock (modeled cycles on this tenant's local timeline).
   Rng arrivals{0};
@@ -64,6 +62,12 @@ struct TenantState {
 
   bool done() const { return ops_done >= ops_total; }
   bool runnable() const { return !done() && !awaiting; }
+
+  // The tenant's collector as a stepwise engine: MakeTenant builds every
+  // collector on gc::CollectorBase.
+  gc::CollectorBase& engine() {
+    return static_cast<gc::CollectorBase&>(bundle.jvm->collector());
+  }
 };
 
 class FleetRun {
@@ -157,7 +161,6 @@ class FleetRun {
     machine_.SetActiveMemoryStreams((active - overlap) + (overlap - 1) * gang +
                                     1);
     rt::Jvm& jvm = *t.bundle.jvm;
-    jvm.RetireAllTlabs();
     jvm.collector().Collect(jvm);
     machine_.SetActiveMemoryStreams(prev);
     const rt::GcLog& log = jvm.collector().log();
@@ -181,8 +184,7 @@ class FleetRun {
 
     for (const unsigned id : members) {
       TenantState& t = tenants_[id];
-      t.bundle.jvm->RetireAllTlabs();
-      t.stepper->BeginCycle(*t.bundle.jvm);
+      t.engine().BeginCycle(*t.bundle.jvm);
     }
     // Round-robin quanta until every member sits at its relocation boundary
     // (for ParallelLisp2 this is exactly the original three interleaved
@@ -192,9 +194,9 @@ class FleetRun {
     while (any_prefix) {
       any_prefix = false;
       for (const unsigned id : members) {
-        gc::PhaseEngine* engine = tenants_[id].stepper;
-        if (engine->cycle_active() && !engine->at_relocation_boundary()) {
-          engine->StepPhase();
+        gc::CollectorBase& engine = tenants_[id].engine();
+        if (engine.cycle_active() && !engine.at_relocation_boundary()) {
+          engine.StepPhase();
           any_prefix = true;
         }
       }
@@ -204,8 +206,7 @@ class FleetRun {
                       // as its slowest cycle
     for (const unsigned id : members) {
       TenantState& t = tenants_[id];
-      t.stepper->FinishCycle();  // relocation onward; logs the cycle
-      SVAGC_CHECK(!t.stepper->cycle_active());
+      t.engine().FinishCycle();  // relocation onward; logs the cycle
       const rt::GcLog& log = t.bundle.jvm->collector().log();
       const double pause = log.cycles.back().Total();
       span = std::max(span, pause);
@@ -304,12 +305,6 @@ FleetResult FleetRun::Run() {
     t.bundle = workloads::MakeTenant(config_.run, machine_, *phys_, kernel_,
                                      /*tenant=*/j, mutator_core, gc_first_core,
                                      (1ULL << 32) + j * (1ULL << 36));
-    t.stepper = dynamic_cast<gc::PhaseEngine*>(&t.bundle.jvm->collector());
-    if (arbitrated) {
-      // The arbiter interleaves cycles phase-by-phase, so it needs the
-      // stepwise PhaseEngine API.
-      SVAGC_CHECK(t.stepper != nullptr);
-    }
     if (auto* svagc =
             dynamic_cast<core::SvagcCollector*>(&t.bundle.jvm->collector());
         svagc != nullptr && config_.arbiter.batch_shootdowns) {

@@ -41,6 +41,23 @@ CollectorBase::CollectorBase(sim::Machine& machine, unsigned gc_threads,
 
 CollectorBase::~CollectorBase() = default;
 
+void CollectorBase::Collect(rt::Jvm& jvm) {
+  if (cycle_active()) {
+    // Finishing the in-flight cycle IS the requested collection, provided
+    // it collects the same Jvm.
+    SVAGC_CHECK(cycle_jvm_ == &jvm);
+  } else {
+    BeginCycle(jvm);
+  }
+  FinishCycle();
+}
+
+void CollectorBase::BeginCycle(rt::Jvm& jvm) {
+  SVAGC_CHECK(!cycle_active());  // one cycle in flight per collector
+  cycle_jvm_ = &jvm;
+  ArmCycle(jvm);
+}
+
 double CollectorBase::RunParallelPhase(
     const std::function<void(unsigned, sim::CpuContext&)>& body) {
   std::vector<double> before(workers_.size());

@@ -1,5 +1,7 @@
-// Collector base class: phase timing over modeled cycles, worker contexts,
-// and the shared LISP2 scaffolding the concrete collectors specialize.
+// Collector base class: the one cycle driver (the stepwise engine API and
+// the Collect() built on it), phase timing over modeled cycles, worker
+// contexts, and the shared LISP2 scaffolding the concrete collectors
+// specialize.
 #pragma once
 
 #include <array>
@@ -71,6 +73,22 @@ struct GcCounters {
   telemetry::Counter& objects_moved;
 };
 
+// Every collector is a stepwise cycle engine. A cycle is a sequence of
+// bounded work quanta: BeginCycle() arms it, each StepPhase() call runs one
+// quantum, and cycle_active() reports whether quanta remain. For the STW
+// collectors a quantum is a whole phase; the concurrent collector yields
+// *within* phases via resumable cursors, so a single cycle is many quanta.
+// Collect() is built on the same steps, so stepped and monolithic cycles
+// are bit-identical.
+//
+// The fleet arbiter drives engines through exactly this interface: it
+// round-robins StepPhase() across co-scheduled tenants until each reaches its
+// relocation boundary (the point where the collector is about to move objects
+// and needs the epoch TLB flush), broadcasts one batched multi-ASID flush,
+// then steps each engine to completion.
+//
+// Callers never prepare the heap: an engine makes it parsable (retires the
+// mutators' TLABs) before its first linear heap walk.
 class CollectorBase : public rt::CollectorIface {
  public:
   // `shared_metrics`: publish into that registry instead of owning one (the
@@ -79,6 +97,29 @@ class CollectorBase : public rt::CollectorIface {
                 unsigned first_core,
                 telemetry::MetricsRegistry* shared_metrics = nullptr);
   ~CollectorBase() override;
+
+  // Full collection: finishes the cycle in flight (an allocation failure
+  // while a stepped cycle is open) or begins one, then steps it to the end.
+  void Collect(rt::Jvm& jvm) final;
+
+  // Arms a cycle on `jvm`. Must not be called while cycle_active().
+  void BeginCycle(rt::Jvm& jvm);
+
+  // Runs one work quantum. Pre: cycle_active().
+  virtual void StepPhase() = 0;
+
+  // True while quanta remain in the armed cycle.
+  virtual bool cycle_active() const = 0;
+
+  // True when the next StepPhase() begins relocating objects (and would
+  // benefit from an externally provided TLB shootdown). Always false once
+  // relocation has started or when no cycle is active.
+  virtual bool at_relocation_boundary() const = 0;
+
+  // Drains the armed cycle to completion.
+  void FinishCycle() {
+    while (cycle_active()) StepPhase();
+  }
 
   unsigned gc_threads() const { return static_cast<unsigned>(workers_.size()); }
   sim::CpuContext& worker_ctx(unsigned i) { return *workers_[i]; }
@@ -104,6 +145,15 @@ class CollectorBase : public rt::CollectorIface {
   telemetry::TraceRecorder* tracer() const { return machine_.tracer(); }
 
  protected:
+  // The engine's part of BeginCycle: set up the cycle's state on `jvm`.
+  virtual void ArmCycle(rt::Jvm& jvm) = 0;
+
+  // The Jvm the armed cycle collects. Pre: a cycle has been begun.
+  rt::Jvm& cycle_jvm() const {
+    SVAGC_DCHECK(cycle_jvm_ != nullptr);
+    return *cycle_jvm_;
+  }
+
   // Brackets one phase for task-span capture: Begin snapshots every worker's
   // account total, End returns the per-worker deltas accumulated since (a
   // phase may span several Run*Phase calls, e.g. the forwarding pipeline).
@@ -115,9 +165,9 @@ class CollectorBase : public rt::CollectorIface {
   static std::vector<TaskSpan> WorkerTaskSpans(const char* prefix,
                                                const std::vector<double>& deltas);
 
-  // End-of-cycle hook every Collect() implementation calls after
-  // log_.Record(rec): advances this collector's modeled-cycle trace clock
-  // and, when a tracer is attached, emits the cycle/phase/task spans on it.
+  // End-of-cycle hook every engine calls after log_.Record(rec): advances
+  // this collector's modeled-cycle trace clock and, when a tracer is
+  // attached, emits the cycle/phase/task spans on it.
   // Phases are laid out back-to-back in mark, forward, adjust, compact,
   // other order, so per-phase durations sum to the cycle duration exactly.
   void PublishCycleTelemetry(const rt::GcCycleRecord& rec,
@@ -135,6 +185,7 @@ class CollectorBase : public rt::CollectorIface {
   telemetry::MetricsRegistry& metrics_;
   const GcCounters counters_;
   std::vector<double> capture_base_;
+  rt::Jvm* cycle_jvm_ = nullptr;  // set by BeginCycle
   double trace_clock_ = 0;  // modeled-cycle timestamp of the next cycle span
   const std::uint32_t trace_pid_;
 };

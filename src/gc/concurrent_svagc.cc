@@ -18,15 +18,7 @@ ConcurrentSvagc::ConcurrentSvagc(sim::Machine& machine, unsigned gc_threads,
 
 ConcurrentSvagc::~ConcurrentSvagc() = default;
 
-void ConcurrentSvagc::Collect(rt::Jvm& jvm) {
-  if (!cycle_active()) BeginCycle(jvm);
-  SVAGC_CHECK(jvm_ == &jvm);
-  FinishCycle();
-}
-
-void ConcurrentSvagc::BeginCycle(rt::Jvm& jvm) {
-  SVAGC_CHECK(phase_ == ConcPhase::kIdle);
-  jvm_ = &jvm;
+void ConcurrentSvagc::ArmCycle(rt::Jvm& jvm) {
   // (Re)install the barrier: the tenant factory wires it at construction,
   // but the oracle restores snapshots and swaps collectors under a live Jvm.
   if (jvm.gc_barrier() != this) jvm.set_gc_barrier(this);
@@ -124,7 +116,7 @@ void ConcurrentSvagc::MarkOne(rt::Jvm& jvm, sim::CpuContext& ctx,
 }
 
 void ConcurrentSvagc::StepMarkQuantum() {
-  rt::Jvm& jvm = *jvm_;
+  rt::Jvm& jvm = cycle_jvm();
   const double window = RunSerialPhase([&](sim::CpuContext& ctx) {
     const double start = ctx.account.total();
     for (;;) {
@@ -154,7 +146,7 @@ void ConcurrentSvagc::StepMarkQuantum() {
 }
 
 void ConcurrentSvagc::StepRemark() {
-  rt::Jvm& jvm = *jvm_;
+  rt::Jvm& jvm = cycle_jvm();
   rt::Heap& heap = jvm.heap();
   const double window = RunSerialPhase([&](sim::CpuContext& ctx) {
     for (auto& buffer : satb_buffers_) {
@@ -207,7 +199,7 @@ void ConcurrentSvagc::StepRemark() {
 // feeding the fwd/rev side maps the barrier serves from (the STW path reads
 // forwarding words instead, which evacuation clobbers before our adjust).
 void ConcurrentSvagc::StepPlanQuantum() {
-  rt::Jvm& jvm = *jvm_;
+  rt::Jvm& jvm = cycle_jvm();
   rt::Heap& heap = jvm.heap();
   const double window = RunSerialPhase([&](sim::CpuContext& ctx) {
     sim::AddressSpace& as = jvm.address_space();
@@ -282,7 +274,7 @@ void ConcurrentSvagc::StepPlanQuantum() {
 }
 
 void ConcurrentSvagc::StepEvacQuantum() {
-  rt::Jvm& jvm = *jvm_;
+  rt::Jvm& jvm = cycle_jvm();
   const double window = RunSerialPhase([&](sim::CpuContext& ctx) {
     if (!relocation_started_) {
       relocation_started_ = true;
@@ -321,7 +313,7 @@ void ConcurrentSvagc::MoveOne(rt::Jvm& jvm, sim::CpuContext& ctx,
 // quanta, and the barrier's OwnerAdjusted() watermark keeps the two namings
 // coherent (slots below the watermark hold new-form values, above old-form).
 void ConcurrentSvagc::StepAdjustQuantum() {
-  rt::Jvm& jvm = *jvm_;
+  rt::Jvm& jvm = cycle_jvm();
   const double window = RunSerialPhase([&](sim::CpuContext& ctx) {
     sim::AddressSpace& as = jvm.address_space();
     const double start = ctx.account.total();
@@ -379,7 +371,7 @@ void ConcurrentSvagc::StepAdjustQuantum() {
 }
 
 void ConcurrentSvagc::StepFinalizeQuantum() {
-  rt::Jvm& jvm = *jvm_;
+  rt::Jvm& jvm = cycle_jvm();
   rt::Heap& heap = jvm.heap();
   if (filler_cursor_ < plan_.fillers.size()) {
     // Concurrent filler quanta: re-tile the reclaimed destination-side gaps.

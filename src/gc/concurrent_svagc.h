@@ -1,7 +1,7 @@
 // Mutator-concurrent SVAGC (ROADMAP item 1): snapshot-at-the-beginning
-// concurrent marking plus incremental evacuation behind the shared
-// PhaseEngine, bounding *max pause* instead of just total GC time (the
-// paper's Fig. 13 claim that the STW collectors can only approximate).
+// concurrent marking plus incremental evacuation behind CollectorBase's
+// stepwise engine API, bounding *max pause* instead of just total GC time
+// (the paper's Fig. 13 claim that the STW collectors can only approximate).
 //
 // Cycle structure — every StepPhase() call is one bounded work quantum; only
 // the windows marked [STW] stop the mutators:
@@ -63,7 +63,6 @@
 #include "gc/collector.h"
 #include "gc/forwarding.h"
 #include "gc/mark_bitmap.h"
-#include "gc/phase_engine.h"
 #include "runtime/gc_barrier.h"
 
 namespace svagc::gc {
@@ -124,9 +123,7 @@ struct StwWindow {
   double cycles;
 };
 
-class ConcurrentSvagc : public CollectorBase,
-                        public PhaseEngine,
-                        public rt::GcBarrier {
+class ConcurrentSvagc : public CollectorBase, public rt::GcBarrier {
  public:
   ConcurrentSvagc(sim::Machine& machine, unsigned gc_threads,
                   unsigned first_core,
@@ -135,14 +132,12 @@ class ConcurrentSvagc : public CollectorBase,
 
   const char* name() const override { return "ConcurrentSVAGC"; }
 
-  // Runs a whole cycle quantized back to back (finishing a mid-flight cycle
-  // first when the allocation-failure path lands here mid-cycle). The
-  // per-window pauses still land in the pause histogram individually, so
-  // max-pause reporting stays honest even for inline cycles.
-  void Collect(rt::Jvm& jvm) override;
-
-  // --- PhaseEngine --------------------------------------------------------
-  void BeginCycle(rt::Jvm& jvm) override;
+  // --- stepwise engine ----------------------------------------------------
+  // Collect() runs a whole cycle quantized back to back (finishing a
+  // mid-flight cycle first when the allocation-failure path lands here
+  // mid-cycle). The per-window pauses still land in the pause histogram
+  // individually, so max-pause reporting stays honest even for inline
+  // cycles.
   void StepPhase() override;
   bool cycle_active() const override { return phase_ != ConcPhase::kIdle; }
   bool at_relocation_boundary() const override {
@@ -180,6 +175,9 @@ class ConcurrentSvagc : public CollectorBase,
   void AtSafepoint(rt::Jvm& jvm, unsigned logical_thread) override;
 
  protected:
+  // [STW] init-mark (see the cycle structure above).
+  void ArmCycle(rt::Jvm& jvm) override;
+
   // Relocates one move (sizes in bytes) on worker 0's context. The base
   // implementation is a costed memmove; the core-layer subclass dispatches
   // through the SwapVA ObjectMover.
@@ -256,7 +254,6 @@ class ConcurrentSvagc : public CollectorBase,
 
   ConcurrentSvagcConfig config_;
   ConcPhase phase_ = ConcPhase::kIdle;
-  rt::Jvm* jvm_ = nullptr;
 
   // --- marking ---
   std::unique_ptr<MarkBitmap> bitmap_;

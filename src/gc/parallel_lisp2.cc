@@ -85,32 +85,29 @@ double ReplayListSchedule(unsigned workers,
 
 }  // namespace
 
-void ParallelLisp2::Collect(rt::Jvm& jvm) {
-  BeginCycle(jvm);
-  while (cycle_active()) StepPhase();
-}
-
-void ParallelLisp2::BeginCycle(rt::Jvm& jvm) {
-  SVAGC_CHECK(cycle_ == nullptr);  // one cycle in flight per collector
-  cycle_ = std::make_unique<CycleState>(jvm);
+void ParallelLisp2::ArmCycle(rt::Jvm& jvm) {
+  // The parsable-heap point: open TLABs leave unfilled gaps the forwarding
+  // walk cannot parse.
+  jvm.RetireAllTlabs();
+  cycle_ = std::make_unique<CycleState>(jvm.heap());
 }
 
 void ParallelLisp2::StepPhase() {
   SVAGC_CHECK(cycle_ != nullptr);
   switch (cycle_->next) {
-    case GcPhase::kMark:
+    case Phase::kMark:
       StepMark();
-      cycle_->next = GcPhase::kForward;
+      cycle_->next = Phase::kForward;
       return;
-    case GcPhase::kForward:
+    case Phase::kForward:
       StepForward();
-      cycle_->next = GcPhase::kAdjust;
+      cycle_->next = Phase::kAdjust;
       return;
-    case GcPhase::kAdjust:
+    case Phase::kAdjust:
       StepAdjust();
-      cycle_->next = GcPhase::kCompact;
+      cycle_->next = Phase::kCompact;
       return;
-    case GcPhase::kCompact: {
+    case Phase::kCompact: {
       StepCompact();
       CycleState& c = *cycle_;
       log_.Record(c.rec);
@@ -118,8 +115,6 @@ void ParallelLisp2::StepPhase() {
       cycle_.reset();
       return;
     }
-    case GcPhase::kDone:
-      SVAGC_CHECK(false);
   }
 }
 
@@ -128,7 +123,7 @@ void ParallelLisp2::StepMark() {
   CycleState& c = *cycle_;
   c.bitmap.Clear();
   BeginPhaseCapture();
-  MarkParallel(*c.jvm, c.bitmap, *this, &c.rec.mark);
+  MarkParallel(cycle_jvm(), c.bitmap, *this, &c.rec.mark);
   if (tracer() != nullptr) {
     c.tasks[0] = WorkerTaskSpans("mark", EndPhaseCapture());
   }
@@ -139,7 +134,7 @@ void ParallelLisp2::StepMark() {
 // summary + install passes read every live header twice).
 void ParallelLisp2::StepForward() {
   CycleState& c = *cycle_;
-  rt::Jvm& jvm = *c.jvm;
+  rt::Jvm& jvm = cycle_jvm();
   BeginPhaseCapture();
   if (forwarding_mode_ == ForwardingMode::kParallelSummary &&
       gc_threads() > 1) {
@@ -181,7 +176,7 @@ void ParallelLisp2::StepForward() {
 // Phase III: parallel pointer adjustment.
 void ParallelLisp2::StepAdjust() {
   CycleState& c = *cycle_;
-  rt::Jvm& jvm = *c.jvm;
+  rt::Jvm& jvm = cycle_jvm();
   const unsigned stride = gc_threads();
   BeginPhaseCapture();
   c.rec.adjust = RunParallelPhase([&](unsigned worker, sim::CpuContext& ctx) {
@@ -195,7 +190,7 @@ void ParallelLisp2::StepAdjust() {
 // Phase IV: compaction (prologue, parallel evacuation, epilogue).
 void ParallelLisp2::StepCompact() {
   CycleState& c = *cycle_;
-  rt::Jvm& jvm = *c.jvm;
+  rt::Jvm& jvm = cycle_jvm();
   rt::Heap& heap = jvm.heap();
   const bool tracing = tracer() != nullptr;
   const CompactionPlan& plan = c.fwd.plan;

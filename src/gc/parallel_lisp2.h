@@ -1,5 +1,6 @@
-// Parallel LISP2 mark-compact: the shared engine behind the ParallelGC-like
-// baseline, the Shenandoah-like baseline's full collection, and SVAGC.
+// Parallel LISP2 mark-compact: the shared engine behind the serial LISP2
+// prototype (one worker, Fig. 1), the ParallelGC-like baseline, the
+// Shenandoah-like baseline's full collection, and SVAGC.
 //
 // Phase structure per cycle (paper §II):
 //   I   marking            — parallel, level-synchronous work distribution
@@ -25,7 +26,6 @@
 #include "gc/collector.h"
 #include "gc/forwarding.h"
 #include "gc/mark.h"
-#include "gc/phase_engine.h"
 #include "gc/plan_optimizer.h"
 #include "support/spin_lock.h"
 #include "support/ws_deque.h"
@@ -60,62 +60,31 @@ enum class CompactionSchedulerKind {
   kWorkStealing,
 };
 
-// The four top-level phases of one LISP2 cycle, in execution order. Used by
-// the stepwise collection API: a driver (the fleet arbiter) can run several
-// tenants' cycles phase-interleaved and insert cross-tenant work — notably
-// one shared epoch TLB broadcast — at the adjust/compact boundary.
-enum class GcPhase : unsigned {
-  kMark = 0,
-  kForward,
-  kAdjust,
-  kCompact,
-  kDone,  // no cycle in flight
-};
-
-inline const char* GcPhaseName(GcPhase phase) {
-  switch (phase) {
-    case GcPhase::kMark:
-      return "mark";
-    case GcPhase::kForward:
-      return "forward";
-    case GcPhase::kAdjust:
-      return "adjust";
-    case GcPhase::kCompact:
-      return "compact";
-    case GcPhase::kDone:
-      return "done";
-  }
-  return "?";
-}
-
-class ParallelLisp2 : public CollectorBase, public PhaseEngine {
+// One engine, named by whoever configures it: "SerialLISP2" is the one-worker
+// configuration (serial forwarding and compaction follow from one worker),
+// "ParallelGC" the full gang with plain memmove moving.
+class ParallelLisp2 : public CollectorBase {
  public:
-  ParallelLisp2(sim::Machine& machine, unsigned gc_threads,
-                unsigned first_core, std::uint64_t region_bytes = kDefaultRegionBytes)
+  ParallelLisp2(sim::Machine& machine, unsigned gc_threads, unsigned first_core,
+                const char* name = "ParallelLISP2",
+                std::uint64_t region_bytes = kDefaultRegionBytes)
       : CollectorBase(machine, gc_threads, first_core),
-        region_bytes_(region_bytes) {}
+        region_bytes_(region_bytes),
+        name_(name) {}
 
-  const char* name() const override { return "ParallelLISP2"; }
-
-  // One full STW cycle: BeginCycle + StepPhase until done.
-  void Collect(rt::Jvm& jvm) override;
+  const char* name() const final { return name_; }
 
   // --- stepwise collection (the fleet-arbiter yield seam) ------------------
-  // BeginCycle opens a cycle; each StepPhase runs exactly one phase (mark,
-  // forward incl. the plan optimizer, adjust, then compact incl. prologue/
-  // epilogue and the cycle record). Between steps the collector is quiescent:
-  // no worker holds modeled state, so a driver may run other tenants' steps
-  // — or a cross-tenant TLB flush — before resuming. Collect() is exactly
-  // BeginCycle + 4 StepPhase calls, so single-stepped and monolithic cycles
-  // are bit-identical.
-  void BeginCycle(rt::Jvm& jvm) override;
+  // BeginCycle retires every mutator TLAB (the forwarding walk parses the
+  // heap linearly) and opens a cycle; each StepPhase runs exactly one phase
+  // (mark, forward incl. the plan optimizer, adjust, then compact incl.
+  // prologue/epilogue and the cycle record). Between steps the collector is
+  // quiescent: no worker holds modeled state, so a driver may run other
+  // tenants' steps — or a cross-tenant TLB flush — before resuming.
   void StepPhase() override;
   bool cycle_active() const override { return cycle_ != nullptr; }
   bool at_relocation_boundary() const override {
-    return cycle_ != nullptr && cycle_->next == GcPhase::kCompact;
-  }
-  GcPhase next_phase() const {
-    return cycle_ == nullptr ? GcPhase::kDone : cycle_->next;
+    return cycle_ != nullptr && cycle_->next == Phase::kCompact;
   }
 
   ForwardingMode forwarding_mode() const { return forwarding_mode_; }
@@ -132,6 +101,8 @@ class ParallelLisp2 : public CollectorBase, public PhaseEngine {
   const PlanOptimizerStats& last_plan_stats() const { return last_plan_stats_; }
 
  protected:
+  void ArmCycle(rt::Jvm& jvm) override;
+
   // Moves one object from move.src to move.dst (sizes in bytes) on behalf of
   // gang worker `worker` (whose context `ctx` is). The base implementation
   // is a pure memmove through the address space.
@@ -182,16 +153,18 @@ class ParallelLisp2 : public CollectorBase, public PhaseEngine {
   std::uint64_t region_bytes_;
 
  private:
+  // The four phases of one LISP2 cycle, in execution order.
+  enum class Phase : unsigned { kMark, kForward, kAdjust, kCompact };
+
   // In-flight cycle state for the stepwise API. Owned between BeginCycle and
   // the final StepPhase; null while no cycle is active.
   struct CycleState {
-    explicit CycleState(rt::Jvm& jvm) : jvm(&jvm), bitmap(jvm.heap()) {}
-    rt::Jvm* jvm;
+    explicit CycleState(rt::Heap& heap) : bitmap(heap) {}
     rt::GcCycleRecord rec;
     CycleTasks tasks;
     MarkBitmap bitmap;
     ForwardingResult fwd{};
-    GcPhase next = GcPhase::kMark;
+    Phase next = Phase::kMark;
   };
 
   void StepMark();
@@ -217,6 +190,7 @@ class ParallelLisp2 : public CollectorBase, public PhaseEngine {
   // completed-prefix frontier (satellite fix for the old 0..dep re-scan).
   void PublishRegionDone(std::uint64_t region);
 
+  const char* const name_;
   ForwardingMode forwarding_mode_ = ForwardingMode::kParallelSummary;
   CompactionSchedulerKind scheduler_ = CompactionSchedulerKind::kWorkStealing;
   PlanOptimizerConfig plan_optimizer_;

@@ -14,8 +14,9 @@ namespace svagc::gc {
 
 class ShenandoahLike : public ParallelLisp2 {
  public:
-  using ParallelLisp2::ParallelLisp2;
-  const char* name() const override { return "Shenandoah"; }
+  ShenandoahLike(sim::Machine& machine, unsigned gc_threads,
+                 unsigned first_core)
+      : ParallelLisp2(machine, gc_threads, first_core, "Shenandoah") {}
 
  protected:
   unsigned compact_parallelism() const override { return 1; }

@@ -21,9 +21,10 @@ struct CheckSet {
 // parse — with the other checks selected by `checks`.
 VerifyResult Verify(Jvm& jvm, const CheckSet& checks) {
   VerifyResult result;
-  // The linear walk requires a parsable heap: close out live TLABs first
-  // (the GC prologue does the same).
-  jvm.RetireAllTlabs();
+  // The linear walk requires a parsable heap: fill the free middle of every
+  // live TLAB (the GC prologue retires them). The TLABs stay open, so
+  // verifying never moves where later objects are allocated.
+  jvm.MakeTlabsParsable();
   Heap& heap = jvm.heap();
   sim::AddressSpace& as = jvm.address_space();
 

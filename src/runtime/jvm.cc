@@ -46,10 +46,9 @@ vaddr_t Jvm::New(std::uint32_t type_id, std::uint32_t num_refs,
   }
   if (addr == 0) addr = TryAllocate(bytes, mutator);
   if (addr == 0) {
-    // Allocation failure: stop the world and run a full collection. TLABs
-    // must be retired first so the heap is linearly parsable.
+    // Allocation failure: stop the world and run a full collection (the
+    // collector makes the heap parsable itself).
     SVAGC_CHECK(collector_ != nullptr);
-    RetireAllTlabs();
     collector_->Collect(*this);
     ++gc_count_;
     addr = TryAllocate(bytes, mutator);
@@ -76,6 +75,10 @@ double Jvm::MutatorCycles() const {
 
 void Jvm::RetireAllTlabs() {
   for (auto& mutator : mutators_) mutator->tlab.Retire(heap_);
+}
+
+void Jvm::MakeTlabsParsable() {
+  for (auto& mutator : mutators_) mutator->tlab.MakeParsable(heap_);
 }
 
 }  // namespace svagc::rt

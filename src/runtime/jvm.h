@@ -203,6 +203,9 @@ class Jvm {
 
   // Retires all TLABs (a GC prologue step: parsable-heap guarantee).
   void RetireAllTlabs();
+  // Makes every TLAB parsable without closing it, for heap walks that must
+  // not change where later objects are allocated (the verifiers).
+  void MakeTlabsParsable();
 
  private:
   vaddr_t TryAllocate(std::uint64_t bytes, MutatorContext& mutator);

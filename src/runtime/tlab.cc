@@ -25,9 +25,12 @@ vaddr_t Tlab::Allocate(Heap& heap, std::uint64_t bytes) {
   return object;
 }
 
+void Tlab::MakeParsable(Heap& heap) const {
+  if (valid()) heap.WriteFiller(small_top_, large_bottom_ - small_top_);
+}
+
 void Tlab::Retire(Heap& heap) {
-  if (!valid()) return;
-  heap.WriteFiller(small_top_, large_bottom_ - small_top_);
+  MakeParsable(heap);
   start_ = end_ = small_top_ = large_bottom_ = 0;
 }
 

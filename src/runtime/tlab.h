@@ -35,8 +35,12 @@ class Tlab {
   // the heap stays walkable. Returns 0 when the object does not fit.
   vaddr_t Allocate(Heap& heap, std::uint64_t bytes);
 
-  // Fills the unused middle with a filler gap and detaches from the chunk.
-  // Safe to call on an invalid TLAB.
+  // Fills the unused middle with a filler gap but keeps the chunk: a heap
+  // walk can parse it, and allocation continues where it left off (the
+  // next object overwrites the filler). Safe to call on an invalid TLAB.
+  void MakeParsable(Heap& heap) const;
+
+  // MakeParsable, then detaches from the chunk.
   void Retire(Heap& heap);
 
   std::uint64_t remaining() const {

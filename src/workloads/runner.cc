@@ -2,8 +2,6 @@
 
 #include "core/concurrent_svagc_collector.h"
 #include "core/generational_collector.h"
-#include "gc/lisp2.h"
-#include "gc/parallel_gc.h"
 #include "gc/shenandoah_gc.h"
 #include "runtime/heap_verifier.h"
 #include "support/align.h"
@@ -27,90 +25,85 @@ bool UsesAlignedLargeObjects(CollectorKind kind) {
   return false;
 }
 
-std::unique_ptr<rt::CollectorIface> MakeCollector(CollectorKind kind,
-                                                  sim::Machine& machine,
-                                                  const RunConfig& config,
-                                                  unsigned first_core) {
+// Every kind but kConcurrentSvagc is a ParallelLisp2 configuration.
+std::unique_ptr<gc::ParallelLisp2> MakeLisp2(CollectorKind kind,
+                                             sim::Machine& machine,
+                                             const RunConfig& config,
+                                             unsigned first_core) {
+  switch (kind) {
+    case CollectorKind::kParallelGc:
+      return std::make_unique<gc::ParallelLisp2>(
+          machine, config.gc_threads, first_core, CollectorKindName(kind));
+    case CollectorKind::kShenandoah:
+      return std::make_unique<gc::ShenandoahLike>(machine, config.gc_threads,
+                                                  first_core);
+    case CollectorKind::kSerialLisp2:
+      // The Fig. 1 prototype: one worker, so forwarding and compaction take
+      // the serial reference paths.
+      return std::make_unique<gc::ParallelLisp2>(
+          machine, /*gc_threads=*/1, first_core, CollectorKindName(kind));
+    case CollectorKind::kSvagc:
+    case CollectorKind::kSvagcNoSwap:
+    case CollectorKind::kSvagcNaiveTlb:
+    case CollectorKind::kConcurrentSvagc:
+      break;
+  }
+  SVAGC_CHECK(kind != CollectorKind::kConcurrentSvagc);
   core::SvagcConfig svagc;
   svagc.move.threshold_pages = config.swap_threshold_pages;
+  svagc.move.use_swapva = kind != CollectorKind::kSvagcNoSwap;
+  svagc.pinned_compaction = kind != CollectorKind::kSvagcNaiveTlb;
   svagc.advise_cold_dense_prefix = config.advise_cold_dense_prefix;
-  std::unique_ptr<rt::CollectorIface> collector;
-  switch (kind) {
-    case CollectorKind::kSvagc:
-      collector = std::make_unique<core::SvagcCollector>(
-          machine, config.gc_threads, first_core, svagc);
-      break;
-    case CollectorKind::kSvagcNoSwap:
-      svagc.move.use_swapva = false;
-      collector = std::make_unique<core::SvagcCollector>(
-          machine, config.gc_threads, first_core, svagc);
-      break;
-    case CollectorKind::kSvagcNaiveTlb:
-      svagc.pinned_compaction = false;
-      collector = std::make_unique<core::SvagcCollector>(
-          machine, config.gc_threads, first_core, svagc);
-      break;
-    case CollectorKind::kConcurrentSvagc: {
-      core::ConcurrentSvagcCoreConfig concurrent;
-      concurrent.move.threshold_pages = config.swap_threshold_pages;
-      // Charge swap syscalls inside the move that issues them, not in a
-      // window-end batch flush: the per-move budget check must see the true
-      // accrued cost or a window can silently overrun its quantum.
-      concurrent.move.aggregate = false;
-      if (config.concurrent_quantum_cycles > 0) {
-        concurrent.concurrent.quantum_cycles = config.concurrent_quantum_cycles;
-      }
-      collector = std::make_unique<core::ConcurrentSvagcCollector>(
-          machine, config.gc_threads, first_core, concurrent);
-      break;
+  return std::make_unique<core::SvagcCollector>(machine, config.gc_threads,
+                                                first_core, svagc);
+}
+
+std::unique_ptr<gc::CollectorBase> MakeCollector(CollectorKind kind,
+                                                 sim::Machine& machine,
+                                                 const RunConfig& config,
+                                                 unsigned first_core) {
+  if (kind == CollectorKind::kConcurrentSvagc) {
+    // The concurrent collector owns the barrier slot, so it never sits
+    // behind the generational front end.
+    SVAGC_CHECK(!config.generational.enabled);
+    core::ConcurrentSvagcCoreConfig concurrent;
+    concurrent.move.threshold_pages = config.swap_threshold_pages;
+    // Charge swap syscalls inside the move that issues them, not in a
+    // window-end batch flush: the per-move budget check must see the true
+    // accrued cost or a window can silently overrun its quantum.
+    concurrent.move.aggregate = false;
+    if (config.concurrent_quantum_cycles > 0) {
+      concurrent.concurrent.quantum_cycles = config.concurrent_quantum_cycles;
     }
-    case CollectorKind::kParallelGc:
-      collector = std::make_unique<gc::ParallelGcLike>(
-          machine, config.gc_threads, first_core);
-      break;
-    case CollectorKind::kShenandoah:
-      collector = std::make_unique<gc::ShenandoahLike>(
-          machine, config.gc_threads, first_core);
-      break;
-    case CollectorKind::kSerialLisp2:
-      collector = std::make_unique<gc::SerialLisp2>(machine, first_core);
-      break;
+    return std::make_unique<core::ConcurrentSvagcCollector>(
+        machine, config.gc_threads, first_core, concurrent);
   }
-  SVAGC_CHECK(collector != nullptr);
-  if (auto* lisp2 = dynamic_cast<gc::ParallelLisp2*>(collector.get())) {
-    lisp2->set_forwarding_mode(config.forwarding);
-    lisp2->set_compaction_scheduler(config.compaction_scheduler);
-    gc::PlanOptimizerConfig optimizer = config.plan_optimizer;
-    // Cold advice names the compaction plan's dense prefix; without the
-    // dense-prefix elision pass no prefix exists to advise, so the knob
-    // implies it.
-    if (config.advise_cold_dense_prefix) optimizer.dense_prefix = true;
-    lisp2->set_plan_optimizer(optimizer);
-  }
-  if (config.generational.enabled) {
-    // The concurrent collector owns the barrier slot; SerialLisp2 is not a
-    // ParallelLisp2. Everything else (SVAGC variants, ParallelGC-like,
-    // Shenandoah-like) wraps cleanly.
-    SVAGC_CHECK(kind != CollectorKind::kConcurrentSvagc);
-    auto* lisp2 = dynamic_cast<gc::ParallelLisp2*>(collector.get());
-    SVAGC_CHECK(lisp2 != nullptr);
-    collector.release();
-    std::unique_ptr<gc::ParallelLisp2> inner(lisp2);
-    core::GenerationalConfig gen;
-    gen.young_bytes = config.generational.young_bytes;
-    gen.young_fraction = config.generational.young_fraction;
-    gen.young.zone_bytes = config.generational.zone_bytes;
-    gen.bypass_bytes = config.generational.bypass_bytes;
-    gen.tenure_age = config.generational.tenure_age;
-    gen.pressure_enabled = config.generational.pressure;
-    gen.verify_remset = config.generational.verify_remset;
-    gen.gang_workers = config.gc_threads;
-    gen.move.threshold_pages = config.swap_threshold_pages;
-    gen.move.use_swapva = kind != CollectorKind::kSvagcNoSwap;
-    collector = std::make_unique<core::GenerationalCollector>(
-        machine, first_core, std::move(inner), gen);
-  }
-  return collector;
+
+  std::unique_ptr<gc::ParallelLisp2> lisp2 =
+      MakeLisp2(kind, machine, config, first_core);
+  lisp2->set_forwarding_mode(config.forwarding);
+  lisp2->set_compaction_scheduler(config.compaction_scheduler);
+  gc::PlanOptimizerConfig optimizer = config.plan_optimizer;
+  // Cold advice names the compaction plan's dense prefix; without the
+  // dense-prefix elision pass no prefix exists to advise, so the knob
+  // implies it.
+  if (config.advise_cold_dense_prefix) optimizer.dense_prefix = true;
+  lisp2->set_plan_optimizer(optimizer);
+  if (!config.generational.enabled) return lisp2;
+
+  core::GenerationalConfig gen;
+  gen.young_bytes = config.generational.young_bytes;
+  gen.young_fraction = config.generational.young_fraction;
+  gen.young.zone_bytes = config.generational.zone_bytes;
+  gen.bypass_bytes = config.generational.bypass_bytes;
+  gen.tenure_age = config.generational.tenure_age;
+  gen.pressure_enabled = config.generational.pressure;
+  gen.verify_remset = config.generational.verify_remset;
+  gen.gang_workers = config.gc_threads;
+  gen.move.threshold_pages = config.swap_threshold_pages;
+  gen.move.use_swapva = kind != CollectorKind::kSvagcNoSwap;
+  return std::make_unique<core::GenerationalCollector>(
+      machine, first_core, std::move(lisp2), gen);
 }
 
 }  // namespace

@@ -25,9 +25,10 @@ enum class CollectorKind {
   kSvagcNaiveTlb,    // SwapVA with per-call global shootdowns (Fig. 9 naive)
   kConcurrentSvagc,  // mutator-concurrent SVAGC (SATB mark + incremental
                      // SwapVA evacuation; see src/gc/concurrent_svagc.h)
-  kParallelGc,       // ParallelGC-like baseline
+  kParallelGc,       // ParallelGC-like baseline (plain ParallelLisp2)
   kShenandoah,       // Shenandoah-like baseline
-  kSerialLisp2,      // serial LISP2 prototype (Fig. 1)
+  kSerialLisp2,      // serial LISP2 prototype (one-worker ParallelLisp2,
+                     // Fig. 1)
 };
 
 const char* CollectorKindName(CollectorKind kind);
@@ -91,8 +92,7 @@ struct RunConfig {
   // Generational front end (ROADMAP item 4): wraps the configured STW
   // LISP2-family collector in a zone-per-thread nursery with remembered-set
   // minor GC and SWAM-style pressure escalation. Incompatible with
-  // kConcurrentSvagc and kSerialLisp2 (the former owns the barrier slot,
-  // the latter is not a phase engine).
+  // kConcurrentSvagc, which owns the barrier slot.
   struct GenerationalOptions {
     bool enabled = false;
     std::uint64_t young_bytes = 0;   // nursery target; 0 = auto (fraction)

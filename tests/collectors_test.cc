@@ -4,9 +4,11 @@
 // and randomized object-graph shapes.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "core/generational_collector.h"
 #include "core/svagc_collector.h"
-#include "gc/lisp2.h"
-#include "gc/parallel_gc.h"
 #include "gc/shenandoah_gc.h"
 #include "runtime/heap_verifier.h"
 #include "support/rng.h"
@@ -34,11 +36,11 @@ std::unique_ptr<rt::CollectorIface> Make(Kind kind, sim::Machine& machine) {
   core::SvagcConfig config;
   switch (kind) {
     case Kind::kSerial:
-      return std::make_unique<gc::SerialLisp2>(machine, 0);
+      return std::make_unique<gc::ParallelLisp2>(machine, 1, 0, "SerialLISP2");
     case Kind::kParallel:
       return std::make_unique<gc::ParallelLisp2>(machine, 4, 0);
     case Kind::kParallelGc:
-      return std::make_unique<gc::ParallelGcLike>(machine, 4, 0);
+      return std::make_unique<gc::ParallelLisp2>(machine, 4, 0, "ParallelGC");
     case Kind::kShenandoah:
       return std::make_unique<gc::ShenandoahLike>(machine, 4, 0);
     case Kind::kSvagc:
@@ -182,7 +184,6 @@ TEST_P(ReclaimTest, DroppedGraphIsReclaimed) {
     const rt::vaddr_t obj = jvm.New(1, 0, 64 * 1024);
     jvm.View(jvm.roots().Get(root)).set_ref(i, obj);
   }
-  jvm.RetireAllTlabs();
   jvm.collector().Collect(jvm);
   const std::uint64_t live_used = jvm.heap().used();
 
@@ -201,7 +202,6 @@ TEST_P(ReclaimTest, UnmovedPrefixStaysInPlace) {
   jvm.set_collector(Make(GetParam(), sim.machine));
   const rt::vaddr_t first = jvm.New(1, 0, 256);
   const auto root = jvm.roots().Add(first);
-  jvm.RetireAllTlabs();
   jvm.collector().Collect(jvm);
   if (GetParam() == Kind::kShenandoah) {
     // Evacuating collectors may relocate everything; just check liveness.
@@ -217,6 +217,62 @@ INSTANTIATE_TEST_SUITE_P(Collectors, ReclaimTest,
                                            Kind::kParallelGc,
                                            Kind::kShenandoah, Kind::kSvagc,
                                            Kind::kSvagcNoSwap));
+
+// --- the cycle makes its own heap parsable -----------------------------------
+
+// The three ways a full cycle is driven: a plain ParallelLisp2, SVAGC, and
+// SVAGC behind the generational front end. The front end's barrier and
+// allocation hooks stay unwired, so every object lands in a mutator TLAB.
+std::unique_ptr<rt::CollectorIface> MakeCycleDriver(const std::string& name,
+                                                   sim::Machine& machine) {
+  if (name == "ParallelLisp2") {
+    return std::make_unique<gc::ParallelLisp2>(machine, 2, 0);
+  }
+  auto svagc = std::make_unique<core::SvagcCollector>(machine, 2, 0);
+  if (name == "Svagc") return svagc;
+  core::GenerationalConfig config;
+  config.gang_workers = 2;
+  return std::make_unique<core::GenerationalCollector>(
+      machine, 0, std::move(svagc), config);
+}
+
+class LiveTlabCollect : public ::testing::TestWithParam<std::string> {};
+
+// Collect() entered straight from mutator code, every logical thread's TLAB
+// still open and no manual retire: the cycle closes the TLABs itself, and
+// the heap verifies with the reachable graph intact.
+TEST_P(LiveTlabCollect, CycleRetiresEveryTlab) {
+  SimBundle sim(4, 256ULL << 20);
+  rt::JvmConfig config;
+  config.heap.capacity = 8 << 20;
+  config.logical_threads = 3;
+  rt::Jvm jvm(sim.machine, sim.phys, sim.kernel, config);
+  jvm.set_collector(MakeCycleDriver(GetParam(), sim.machine));
+
+  const auto root = jvm.roots().Add(jvm.New(2, 8, 0));
+  for (unsigned i = 0; i < 24; ++i) {
+    const rt::vaddr_t obj = jvm.New(1, 0, 512 + 64 * i, i % 3);
+    if (i % 3 == 0) jvm.View(jvm.roots().Get(root)).set_ref(i / 3, obj);
+  }
+  for (unsigned t = 0; t < jvm.num_mutators(); ++t) {
+    ASSERT_TRUE(jvm.mutator(t).tlab.valid()) << "thread " << t;
+  }
+  const std::uint64_t checksum = ChecksumReachable(jvm);
+
+  jvm.collector().Collect(jvm);
+  EXPECT_EQ(jvm.collector().log().collections, 1u);
+  for (unsigned t = 0; t < jvm.num_mutators(); ++t) {
+    EXPECT_FALSE(jvm.mutator(t).tlab.valid()) << "thread " << t;
+  }
+  const rt::VerifyResult verify = rt::VerifyHeap(jvm);
+  EXPECT_TRUE(verify.ok) << verify.error;
+  EXPECT_EQ(ChecksumReachable(jvm), checksum);
+}
+
+INSTANTIATE_TEST_SUITE_P(Drivers, LiveTlabCollect,
+                         ::testing::Values("ParallelLisp2", "Svagc",
+                                           "Generational"),
+                         [](const auto& info) { return info.param; });
 
 // --- SVAGC-specific behaviour -------------------------------------------------
 
@@ -238,7 +294,6 @@ TEST(SvagcCollector, SwapsLargeObjectsAndCopiesSmallOnes) {
   jvm.New(1, 0, 300 * 1024);  // dies (shared space)
   const rt::vaddr_t big = jvm.New(1, 0, 20 * sim::kPageSize);
   jvm.View(jvm.roots().Get(root)).set_ref(0, big);
-  jvm.RetireAllTlabs();
   jvm.collector().Collect(jvm);
 
   const telemetry::MetricsRegistry& metrics = svagc->metrics();
@@ -267,7 +322,6 @@ TEST(SvagcCollector, ThresholdIsRespected) {
   jvm.New(1, 0, 64 * 1024);  // dies, creates a gap
   const rt::vaddr_t below = jvm.New(1, 0, 15 * sim::kPageSize);  // < 20 pages
   jvm.View(jvm.roots().Get(root)).set_ref(0, below);
-  jvm.RetireAllTlabs();
   jvm.collector().Collect(jvm);
   EXPECT_EQ(svagc->metrics().CounterValue("gc.objects_swapped"), 0u);
 }
@@ -285,7 +339,6 @@ TEST(SvagcCollector, PinnedModeSendsOneShootdownPerCycle) {
     const rt::vaddr_t obj = jvm.New(1, 0, 12 * sim::kPageSize);
     jvm.View(jvm.roots().Get(root)).set_ref(i, obj);
   }
-  jvm.RetireAllTlabs();
   sim.machine.ResetCounters();
   jvm.collector().Collect(jvm);
   // Algorithm 4: exactly one process-wide shootdown (c-1 IPIs), regardless
@@ -312,7 +365,6 @@ TEST(SvagcCollector, NaiveModeShootsDownPerCall) {
     const rt::vaddr_t obj = jvm.New(1, 0, 12 * sim::kPageSize);
     jvm.View(jvm.roots().Get(root)).set_ref(i, obj);
   }
-  jvm.RetireAllTlabs();
   sim.machine.ResetCounters();
   jvm.collector().Collect(jvm);
   // l * (c-1) IPIs: one broadcast per swapped object (Eq. 2's unoptimized
@@ -333,7 +385,6 @@ TEST(SvagcCollector, LogExposesSwapTraffic) {
   jvm.New(1, 0, 100 * 1024);  // garbage
   const rt::vaddr_t obj = jvm.New(1, 0, 16 * sim::kPageSize);
   jvm.View(jvm.roots().Get(root)).set_ref(0, obj);
-  jvm.RetireAllTlabs();
   jvm.collector().Collect(jvm);
   const rt::GcLog& log = jvm.collector().log();
   EXPECT_EQ(log.collections, 1u);

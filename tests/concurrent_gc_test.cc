@@ -13,10 +13,9 @@
 //   3. Pause bounds: every evacuation [STW] window fits the quantum budget
 //      plus one indivisible work item; the flip is O(1); remark cost scales
 //      with the SATB residue, not with the live set.
-//   4. PhaseEngine regression: the STW collectors behind the shared engine
-//      (ParallelLisp2, ShenandoahLike) produce bit-identical layouts and
-//      cycle records whether driven by Collect() or stepped quantum by
-//      quantum — the refactor is behavior-free.
+//   4. Stepwise-engine regression: the STW collectors (ParallelLisp2,
+//      ShenandoahLike) produce bit-identical layouts and cycle records
+//      whether driven by Collect() or stepped quantum by quantum.
 //   5. The fleet arbiter consumes the concurrent collector unchanged.
 #include <gtest/gtest.h>
 
@@ -275,8 +274,9 @@ TEST(ConcurrentPause, RemarkScalesWithSatbNotHeap) {
 
 // The STW collectors must be indistinguishable whether a caller runs
 // Collect() or steps the engine — same layout (byte-level digest), same
-// per-phase cycle record, bit for bit. This is the regression gate for the
-// PhaseEngine refactor: the fleet consumes exactly this stepped interface.
+// per-phase cycle record, bit for bit. This is the regression gate for
+// CollectorBase's stepwise API: the fleet consumes exactly this stepped
+// interface.
 // Each arm gets its own cold machine: modeled costs depend on TLB/cache
 // warmth, so the arms must be separate executions of one construction, not
 // a snapshot/restore on shared warm state.

@@ -367,7 +367,6 @@ TEST_F(FaultInjectionTest, RefusedPinFallsBackToGlobalShootdowns) {
 
   verify::ScopedInjection hook(sim.kernel, injector_);
   injector_.Arm(sim::FaultPoint::kRefusePin, {.first = 0});
-  jvm.RetireAllTlabs();
   jvm.collector().Collect(jvm);
 
   const telemetry::MetricsRegistry& metrics = collector->metrics();
@@ -399,7 +398,6 @@ TEST_F(FaultInjectionTest, FullCollectionSurvivesInjectedVecFault) {
 
   verify::ScopedInjection hook(sim.kernel, injector_);
   injector_.Arm(sim::FaultPoint::kSwapVaFault, {.first = 0});
-  jvm.RetireAllTlabs();
   jvm.collector().Collect(jvm);
 
   EXPECT_GE(collector->metrics().CounterValue("gc.swap_faults_recovered"), 1u);
@@ -423,7 +421,6 @@ TEST_F(FaultInjectionTest, ControlRunWithInjectorAttachedButUnarmed) {
   const std::uint64_t checksum = ChecksumReachable(jvm);
 
   verify::ScopedInjection hook(sim.kernel, injector_);
-  jvm.RetireAllTlabs();
   jvm.collector().Collect(jvm);
 
   // Attached but unarmed: nothing fires, everything holds.

@@ -6,7 +6,6 @@
 
 #include "gc/applicability.h"
 #include "gc/forwarding.h"
-#include "gc/lisp2.h"
 #include "gc/parallel_lisp2.h"
 #include "gc/mark.h"
 #include "runtime/heap_verifier.h"
@@ -25,7 +24,7 @@ class PhaseTest : public ::testing::Test {
     config.heap.capacity = 16 << 20;
     jvm_ = std::make_unique<rt::Jvm>(sim_.machine, sim_.phys, sim_.kernel,
                                      config);
-    jvm_->set_collector(std::make_unique<SerialLisp2>(sim_.machine, 0));
+    jvm_->set_collector(std::make_unique<ParallelLisp2>(sim_.machine, 1, 0));
   }
 
   // Builds a random object graph: `count` objects, some large, random refs,
@@ -88,7 +87,7 @@ TEST_F(PhaseTest, SerialMarkFindsExactlyTheReachableSet) {
   BuildGraph(400, 0.5, 1);
   MarkBitmap bitmap(jvm_->heap());
   bitmap.Clear();
-  SerialLisp2 collector(sim_.machine, 0);
+  ParallelLisp2 collector(sim_.machine, 1, 0);
   const MarkStats stats = MarkSerial(*jvm_, bitmap, collector.worker_ctx(0),
                                      collector.costs());
   EXPECT_EQ(stats.live_objects, CountReachable());
@@ -109,7 +108,7 @@ TEST_P(ParallelMarkSweep, MatchesSerialMarking) {
   rt::JvmConfig config;
   config.heap.capacity = 16 << 20;
   rt::Jvm jvm(sim.machine, sim.phys, sim.kernel, config);
-  jvm.set_collector(std::make_unique<SerialLisp2>(sim.machine, 0));
+  jvm.set_collector(std::make_unique<ParallelLisp2>(sim.machine, 1, 0));
   // Graph with shared substructure and cycles.
   Rng rng(77);
   std::vector<rt::vaddr_t> objects;
@@ -130,7 +129,7 @@ TEST_P(ParallelMarkSweep, MatchesSerialMarking) {
 
   MarkBitmap serial_bitmap(jvm.heap());
   serial_bitmap.Clear();
-  SerialLisp2 serial(sim.machine, 0);
+  ParallelLisp2 serial(sim.machine, 1, 0);
   const MarkStats serial_stats =
       MarkSerial(jvm, serial_bitmap, serial.worker_ctx(0), serial.costs());
 
@@ -158,7 +157,7 @@ TEST_F(PhaseTest, ForwardingIsMonotoneAndPacked) {
   BuildGraph(300, 0.4, 2);
   MarkBitmap bitmap(jvm_->heap());
   bitmap.Clear();
-  SerialLisp2 collector(sim_.machine, 0);
+  ParallelLisp2 collector(sim_.machine, 1, 0);
   MarkSerial(*jvm_, bitmap, collector.worker_ctx(0), collector.costs());
   const ForwardingResult fwd = ComputeForwarding(
       *jvm_, bitmap, collector.worker_ctx(0), collector.costs(),
@@ -185,7 +184,7 @@ TEST_F(PhaseTest, ForwardingFillersTileTheDestGaps) {
   BuildGraph(300, 0.4, 3);
   MarkBitmap bitmap(jvm_->heap());
   bitmap.Clear();
-  SerialLisp2 collector(sim_.machine, 0);
+  ParallelLisp2 collector(sim_.machine, 1, 0);
   MarkSerial(*jvm_, bitmap, collector.worker_ctx(0), collector.costs());
   const ForwardingResult fwd = ComputeForwarding(
       *jvm_, bitmap, collector.worker_ctx(0), collector.costs(),
@@ -209,7 +208,7 @@ TEST_F(PhaseTest, RegionDependenciesPointLeft) {
   BuildGraph(300, 0.4, 4);
   MarkBitmap bitmap(jvm_->heap());
   bitmap.Clear();
-  SerialLisp2 collector(sim_.machine, 0);
+  ParallelLisp2 collector(sim_.machine, 1, 0);
   MarkSerial(*jvm_, bitmap, collector.worker_ctx(0), collector.costs());
   const ForwardingResult fwd = ComputeForwarding(
       *jvm_, bitmap, collector.worker_ctx(0), collector.costs(),
@@ -230,7 +229,7 @@ TEST_F(PhaseTest, EvacuateAllLivePlansEveryObject) {
   BuildGraph(100, 1.0, 5);
   MarkBitmap bitmap(jvm_->heap());
   bitmap.Clear();
-  SerialLisp2 collector(sim_.machine, 0);
+  ParallelLisp2 collector(sim_.machine, 1, 0);
   const MarkStats stats =
       MarkSerial(*jvm_, bitmap, collector.worker_ctx(0), collector.costs());
   const ForwardingResult fwd = ComputeForwarding(
@@ -273,7 +272,7 @@ class ParallelForwarding : public ::testing::TestWithParam<unsigned> {
       config.heap.capacity = 160 << 20;
     }
     rt::Jvm jvm(sim.machine, sim.phys, sim.kernel, config);
-    jvm.set_collector(std::make_unique<SerialLisp2>(sim.machine, 0));
+    jvm.set_collector(std::make_unique<ParallelLisp2>(sim.machine, 1, 0));
 
     // Half-rooted random heap: the dead gaps force displaced moves in every
     // region, and the unrooted tail keeps new_top well below old top.
@@ -294,7 +293,7 @@ class ParallelForwarding : public ::testing::TestWithParam<unsigned> {
 
     MarkBitmap bitmap(jvm.heap());
     bitmap.Clear();
-    SerialLisp2 serial(sim.machine, 0);
+    ParallelLisp2 serial(sim.machine, 1, 0);
     MarkSerial(jvm, bitmap, serial.worker_ctx(0), serial.costs());
     const ForwardingResult want = ComputeForwarding(
         jvm, bitmap, serial.worker_ctx(0), serial.costs(), region_bytes,
@@ -368,7 +367,7 @@ TEST_F(PhaseTest, AdjustRewritesRefsAndRootsToForwardedAddresses) {
   BuildGraph(200, 0.5, 6);
   MarkBitmap bitmap(jvm_->heap());
   bitmap.Clear();
-  SerialLisp2 collector(sim_.machine, 0);
+  ParallelLisp2 collector(sim_.machine, 1, 0);
   MarkSerial(*jvm_, bitmap, collector.worker_ctx(0), collector.costs());
   ForwardingResult fwd = ComputeForwarding(*jvm_, bitmap,
                                            collector.worker_ctx(0),

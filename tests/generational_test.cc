@@ -63,8 +63,9 @@ struct DigestOutcome {
 };
 
 // Mirrors RunWorkload's driving loop but digests the reachable graph before
-// the bundle is torn down (RunWorkload only harvests counters).
-DigestOutcome RunForDigest(const RunConfig& config) {
+// the bundle is torn down (RunWorkload only harvests counters). `tenant` is
+// the MakeTenant slot, which seeds the workload's stream.
+DigestOutcome RunForDigest(const RunConfig& config, unsigned tenant = 0) {
   const sim::CostProfile& profile =
       config.profile != nullptr ? *config.profile : sim::ProfileXeonGold6130();
   sim::Machine machine(config.machine_cores, profile,
@@ -77,9 +78,8 @@ DigestOutcome RunForDigest(const RunConfig& config) {
       static_cast<double>(probe->info().min_heap_bytes) * config.heap_factor);
   sim::PhysicalMemory phys(heap_bytes + (8ULL << 20));
 
-  TenantBundle bundle = MakeTenant(config, machine, phys, kernel,
-                                   /*tenant=*/0, /*mutator_core=*/0,
-                                   /*gc_first_core=*/0,
+  TenantBundle bundle = MakeTenant(config, machine, phys, kernel, tenant,
+                                   /*mutator_core=*/0, /*gc_first_core=*/0,
                                    /*heap_base=*/1ULL << 32);
   bundle.workload->Setup(*bundle.jvm);
   const unsigned iterations = config.iterations != 0
@@ -404,6 +404,34 @@ TEST(GenerationalSoak, VerifiedChurnAcrossBackends) {
       EXPECT_EQ(base.digest, out.digest)
           << workload << "/" << TranslationBackendName(backend);
     }
+  }
+}
+
+// Long generational lrucache runs in svbench's gen-churn configuration (2.0x
+// heap, pressure escalation, SVAGC on two GC threads), in tenant slots 1-3.
+// The front end starts full GCs itself, from nursery exhaustion and pressure
+// escalation, so a full cycle can begin while a mutator TLAB is still open;
+// the cycle must make the heap parsable on its own. A cycle that compacts
+// under an open TLAB corrupts these runs near iteration 2266 in slots 1 and
+// 3. No verifier runs mid-run: one that closed TLABs would hide that.
+TEST(GenerationalSoak, LongGenChurnRunsMatchFullOnly) {
+  const unsigned iterations = static_cast<unsigned>(2400 * SoakScale());
+  for (unsigned slot = 1; slot <= 3; ++slot) {
+    RunConfig off;
+    off.workload = "lrucache";
+    off.collector = CollectorKind::kSvagc;
+    off.heap_factor = 2.0;
+    off.gc_threads = 2;
+    off.iterations = iterations;
+    const DigestOutcome base = RunForDigest(off, slot);
+
+    RunConfig gen = off;
+    gen.generational.enabled = true;
+    gen.generational.pressure = true;
+    gen.verify_heap = true;
+    const DigestOutcome out = RunForDigest(gen, slot);
+    EXPECT_GT(out.fulls, 0u) << "slot " << slot;
+    EXPECT_EQ(base.digest, out.digest) << "slot " << slot;
   }
 }
 

@@ -1,7 +1,8 @@
 // Golden event totals of five deterministic runs (bytes moved, swap calls,
 // IPIs: the paper's counted evidence), recorded before the metrics
-// registries became their only tally, and proof that attaching a trace
-// recorder changes none of them. A counting change fails here exactly.
+// registries became their only tally; golden modeled cycles of the serial
+// and ParallelGC configurations; and proof that attaching a trace recorder
+// changes none of them. A counting change fails here exactly.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -11,6 +12,7 @@
 #include <tuple>
 
 #include "fleet/fleet_runner.h"
+#include "simkernel/cost_model.h"
 #include "telemetry/trace_recorder.h"
 #include "workloads/runner.h"
 
@@ -222,6 +224,54 @@ TEST(GoldenCounters, BatchFleet) {
       "gc.flushes_coalesced=10 gc.objects_copied=472 gc.objects_moved=2800 "
       "gc.objects_swapped=2328 gc.pin_losses_recovered=0 gc.pin_refusals=0 "
       "gc.swap_calls=1497 gc.swap_faults_recovered=0");
+}
+
+// --- golden modeled cycles of the single-class LISP2 configurations ----------
+// fig01's two serial-prototype runs and one ParallelGC run, recorded while
+// each collector was still its own class. Every field is compared exactly:
+// a configuration that drifts from the engine it names fails here.
+
+// collector_name, gc_count, the five phase sums, gc_total_cycles and
+// bytes_copied.
+auto Cycles(const RunResult& r) {
+  return std::make_tuple(r.collector_name, r.gc_count, r.phase_sum.mark,
+                         r.phase_sum.forward, r.phase_sum.adjust,
+                         r.phase_sum.compact, r.phase_sum.other,
+                         r.gc_total_cycles, r.bytes_copied);
+}
+
+RunConfig Fig01(const char* workload) {
+  RunConfig config;
+  config.workload = workload;
+  config.collector = workloads::CollectorKind::kSerialLisp2;
+  config.profile = &sim::ProfileCorei5_7600();
+  return config;
+}
+
+TEST(GoldenCycles, SerialFftLarge) {
+  EXPECT_EQ(Cycles(workloads::RunWorkload(Fig01("fft.large"))),
+            std::make_tuple(std::string("SerialLISP2"), std::uint64_t{20},
+                            1843300.0, 1619975.2000000151, 2143875.2000000225,
+                            77299519.519998848, 0.0, 82906659.0,
+                            std::uint64_t{248374192}));
+}
+
+TEST(GoldenCycles, SerialSparseLarge) {
+  EXPECT_EQ(Cycles(workloads::RunWorkload(Fig01("sparse.large"))),
+            std::make_tuple(std::string("SerialLISP2"), std::uint64_t{20},
+                            3068800.0, 2369843.1519999979, 3242043.1520000054,
+                            101205268.0800094, 0.0, 109885945.0,
+                            std::uint64_t{324833768}));
+}
+
+TEST(GoldenCycles, ParallelGcLruCache) {
+  RunConfig config = LruCache();
+  config.collector = workloads::CollectorKind::kParallelGc;
+  EXPECT_EQ(Cycles(workloads::RunWorkload(config)),
+            std::make_tuple(std::string("ParallelGC"), std::uint64_t{2},
+                            71320.0, 130864.47199999873, 101248.49600000001,
+                            2915404.2000000002, 0.0, 3218836.0,
+                            std::uint64_t{65109648}));
 }
 
 // --- tracing never perturbs the model ----------------------------------------

@@ -9,8 +9,6 @@
 
 #include <map>
 
-#include "gc/lisp2.h"
-#include "gc/parallel_gc.h"
 #include "gc/shenandoah_gc.h"
 #include "tests/test_util.h"
 #include "workloads/runner.h"
@@ -58,14 +56,15 @@ std::uint64_t RunAndHash(const std::string& workload_name, CollectorKind kind) {
     }
     case CollectorKind::kParallelGc:
       jvm.set_collector(
-          std::make_unique<gc::ParallelGcLike>(sim.machine, 8, 0));
+          std::make_unique<gc::ParallelLisp2>(sim.machine, 8, 0, "ParallelGC"));
       break;
     case CollectorKind::kShenandoah:
       jvm.set_collector(
           std::make_unique<gc::ShenandoahLike>(sim.machine, 8, 0));
       break;
     case CollectorKind::kSerialLisp2:
-      jvm.set_collector(std::make_unique<gc::SerialLisp2>(sim.machine, 0));
+      jvm.set_collector(std::make_unique<gc::ParallelLisp2>(
+          sim.machine, 1, 0, "SerialLISP2"));
       break;
     case CollectorKind::kConcurrentSvagc:
       ADD_FAILURE() << "this sweep builds stop-the-world collectors only";

@@ -12,7 +12,6 @@
 
 #include "core/svagc_collector.h"
 #include "gc/forwarding.h"
-#include "gc/lisp2.h"
 #include "gc/mark.h"
 #include "gc/plan_optimizer.h"
 #include "runtime/heap_verifier.h"
@@ -85,7 +84,8 @@ class PlanFixture : public ::testing::Test {
     config.heap.capacity = 16 << 20;
     jvm_ = std::make_unique<rt::Jvm>(sim_.machine, sim_.phys, sim_.kernel,
                                      config);
-    jvm_->set_collector(std::make_unique<gc::SerialLisp2>(sim_.machine, 0));
+    jvm_->set_collector(
+        std::make_unique<gc::ParallelLisp2>(sim_.machine, 1, 0));
     Rng rng(seed);
     const auto table = jvm_->New(2, count, 0);
     const auto handle = jvm_->roots().Add(table);
@@ -105,7 +105,7 @@ class PlanFixture : public ::testing::Test {
   gc::ForwardingResult Forward() {
     bitmap_ = std::make_unique<gc::MarkBitmap>(jvm_->heap());
     bitmap_->Clear();
-    collector_ = std::make_unique<gc::SerialLisp2>(sim_.machine, 0);
+    collector_ = std::make_unique<gc::ParallelLisp2>(sim_.machine, 1, 0);
     gc::MarkSerial(*jvm_, *bitmap_, collector_->worker_ctx(0),
                    collector_->costs());
     return gc::ComputeForwarding(*jvm_, *bitmap_, collector_->worker_ctx(0),
@@ -123,7 +123,7 @@ class PlanFixture : public ::testing::Test {
   SimBundle sim_{4, 256ULL << 20};
   std::unique_ptr<rt::Jvm> jvm_;
   std::unique_ptr<gc::MarkBitmap> bitmap_;
-  std::unique_ptr<gc::SerialLisp2> collector_;
+  std::unique_ptr<gc::ParallelLisp2> collector_;
 };
 
 // With only large objects live, nothing coalesces and the layout replay must
@@ -259,7 +259,6 @@ TEST(PlanOptimizerSwapVaConservation, RunInteriorPagesSwapExactlyOnce) {
     jvm.View(jvm.roots().Get(table)).set_ref(i, obj);
     span_bytes += jvm.View(obj).size();
   }
-  jvm.RetireAllTlabs();
   const std::uint64_t checksum = ChecksumReachable(jvm);
   jvm.collector().Collect(jvm);
 
@@ -438,7 +437,6 @@ TEST(CompactionSchedulerCoalescedRuns, WorkStealingExecutesOptimizedPlans) {
       // Half survive into the next cycle, half are garbage by then.
       if (i % 2 == 0) jvm.View(jvm.roots().Get(table)).set_ref(i, obj);
     }
-    jvm.RetireAllTlabs();
     checksum = ChecksumReachable(jvm);
     jvm.collector().Collect(jvm);
     ASSERT_EQ(ChecksumReachable(jvm), checksum) << "cycle " << cycle;

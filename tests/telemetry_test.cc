@@ -401,7 +401,6 @@ TEST(TelemetryPlanOptimizer, RunLengthHistogramMatchesCounter) {
   for (unsigned i = 0; i < 128; ++i) {
     jvm.View(jvm.roots().Get(table)).set_ref(i, jvm.New(1, 0, 256));
   }
-  jvm.RetireAllTlabs();
   jvm.collector().Collect(jvm);
 
   const std::uint64_t runs =
