@@ -296,8 +296,6 @@ bool GenerationalCollector::MinorCollect(rt::Jvm& jvm) {
   // packed zone-to-zone into the page-granular complement of the survivor
   // spans — i.e. into space that just died — and the tenure batch gets its
   // own old-space layout.
-  const std::uint64_t threshold_bytes =
-      config_.move.threshold_pages * sim::kPageSize;
   const std::uint64_t zone_half = young_->config().zone_bytes / 2;
   struct Group {
     rt::vaddr_t base = 0;
@@ -341,8 +339,9 @@ bool GenerationalCollector::MinorCollect(rt::Jvm& jvm) {
       cursor = std::max(cursor, send);
     }
     flush_gap(young_->end());
-    // First-fit, address order; members of one group are bump-packed (all
-    // are below the swap threshold, so no internal alignment needed).
+    // First-fit, address order; members of one group are bump-packed (none
+    // is large by the heap's rule, so Heap::Place packs them the same way
+    // when MinorEvacuator lays the group out).
     std::vector<bool> placed(survivors.size(), false);
     for (const YoungSpace::Run& run : candidates) {
       Group g;
@@ -369,15 +368,18 @@ bool GenerationalCollector::MinorCollect(rt::Jvm& jvm) {
         ++stats.premature_tenured;
       }
     }
+    // The tenure batch laid out by the heap's rule on offsets. Exact: the
+    // offsets are relative to a page-aligned chunk, and huge objects never
+    // enter the nursery, so no placement needs an alignment coarser than
+    // the chunk's.
     std::uint64_t top = 0;
     for (std::size_t i = 0; i < survivors.size(); ++i) {
       if (!survivors[i].tenure) continue;
       const Survivor& s = survivors[i];
-      const bool large = s.size >= threshold_bytes;
-      const std::uint64_t dst = large ? AlignUp(top, sim::kPageSize) : top;
-      top = large ? AlignUp(dst + s.size, sim::kPageSize) : dst + s.size;
+      const rt::Heap::Placement place = jvm.heap().Place(s.size, top);
+      top = place.next;
       tenure_members.push_back(i);
-      tenure_dst.push_back(dst);
+      tenure_dst.push_back(place.dst);
       stats.promoted_bytes += s.size;
     }
     tenure_bytes = AlignUp(top, sim::kPageSize);

@@ -1,7 +1,5 @@
 #include "core/minor_copy.h"
 
-#include "support/align.h"
-
 namespace svagc::core {
 
 EvacuationResult MinorEvacuator::Evacuate(
@@ -11,22 +9,18 @@ EvacuationResult MinorEvacuator::Evacuate(
   sim::AddressSpace& as = jvm_.address_space();
   rt::vaddr_t top = to_space;
   for (const rt::vaddr_t src : survivors) {
-    rt::ObjectView view(as, src);
-    const std::uint64_t size = view.size();
-    const bool large =
-        size >= config_.threshold_pages * sim::kPageSize;
-    const rt::vaddr_t dst = large ? AlignUp(top, sim::kPageSize) : top;
-    SVAGC_DCHECK(dst >= top);
-    mover_.Move(ctx, src, dst, size);
+    const std::uint64_t size = rt::ObjectView(as, src).size();
+    const rt::Heap::Placement place = jvm_.heap().Place(size, top);
+    mover_.Move(ctx, src, place.dst, size);
     if (mode == EvacuationMode::kConcurrentSolo) {
       // Concurrent relocation: each object's move is independent and must
       // be visible before the next — no batching survives the object.
       mover_.Flush(ctx);
     }
-    result.relocations.emplace_back(src, dst);
+    result.relocations.emplace_back(src, place.dst);
     ++result.objects;
     result.bytes += size;
-    top = large ? AlignUp(dst + size, sim::kPageSize) : dst + size;
+    top = place.next;
   }
   mover_.Flush(ctx);
   result.to_space_top = top;

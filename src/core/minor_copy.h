@@ -22,6 +22,10 @@
 // survivors from roots + remembered set, and feeds them through this
 // evacuator's kMinorBatch path. Tests and benches still drive the
 // primitive directly to isolate Table I rows 2-3.
+//
+// Destinations follow the heap's layout rule (rt::Heap::Place), not the
+// mover's swap threshold, so a caller that sizes its destination space by
+// the same rule never overruns it.
 #pragma once
 
 #include <cstdint>
@@ -48,14 +52,15 @@ struct EvacuationResult {
 class MinorEvacuator {
  public:
   MinorEvacuator(rt::Jvm& jvm, const MoveObjectConfig& config)
-      : jvm_(jvm), mover_(jvm, config), config_(config) {}
+      : jvm_(jvm), mover_(jvm, config) {}
 
   // Evacuates `survivors` (addresses of live young objects) into the
-  // destination space starting at `to_space`, page-aligning large objects
-  // so they remain swappable afterwards. The destination range must be
-  // mapped and disjoint from every survivor. Does NOT rewrite references —
-  // the caller applies result.relocations (mirroring how a scavenger's
-  // forwarding table is consumed).
+  // destination space starting at `to_space`, laid out by the heap's rule
+  // (rt::Heap::Place), so large objects stay swappable afterwards on heaps
+  // that align them and everything packs on heaps that do not. The
+  // destination range must be mapped and disjoint from every survivor.
+  // Does NOT rewrite references — the caller applies result.relocations
+  // (mirroring how a scavenger's forwarding table is consumed).
   EvacuationResult Evacuate(const std::vector<rt::vaddr_t>& survivors,
                             rt::vaddr_t to_space, EvacuationMode mode,
                             sim::CpuContext& ctx);
@@ -65,7 +70,6 @@ class MinorEvacuator {
  private:
   rt::Jvm& jvm_;
   ObjectMover mover_;
-  MoveObjectConfig config_;
 };
 
 }  // namespace svagc::core

@@ -18,6 +18,29 @@ GcCounters::GcCounters(telemetry::MetricsRegistry& metrics)
     : bytes_copied(metrics.counter("gc.bytes_copied")),
       objects_moved(metrics.counter("gc.objects_moved")) {}
 
+CompactionPlan::CompactionPlan(const rt::Heap& heap,
+                               std::uint64_t region_bytes)
+    : heap_base(heap.base()),
+      region_bytes(region_bytes),
+      region_moves(CeilDiv(heap.capacity(), region_bytes)),
+      region_dep(region_moves.size(), kNoDep) {}
+
+void CompactionPlan::AddMove(const Move& move) {
+  const std::uint64_t region = RegionOf(move.src);
+  const std::uint64_t bound = RegionOf(move.ExtentEnd(move.dst) - 1);
+  std::uint64_t& dep = region_dep[region];
+  dep = dep == kNoDep ? bound : std::max(dep, bound);
+  region_moves[region].push_back(move);
+}
+
+std::uint64_t CompactionPlan::moved_objects() const {
+  std::uint64_t objects = 0;
+  for (const auto& moves : region_moves) {
+    for (const Move& move : moves) objects += move.objects;
+  }
+  return objects;
+}
+
 CollectorBase::CollectorBase(sim::Machine& machine, unsigned gc_threads,
                              unsigned first_core,
                              telemetry::MetricsRegistry* shared_metrics)

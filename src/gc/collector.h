@@ -32,22 +32,54 @@ struct Move {
   bool run = false;
   std::uint32_t objects = 1;  // live objects this move covers
 
+  // One past the last byte the move touches with its object at `at` (its
+  // src or its dst). SwapVA exchanges whole pages, so a large object's
+  // extent ends on a page boundary; a run's interior swaps stay inside its
+  // bytes.
+  rt::vaddr_t ExtentEnd(rt::vaddr_t at) const {
+    return large ? AlignUp(at + size, sim::kPageSize) : at + size;
+  }
+
   bool operator==(const Move&) const = default;
 };
 
+inline constexpr std::uint64_t kNoDep = ~0ULL;
+
+// Dest-side gaps [addr, addr + bytes) to refill with filler words.
+using FillerList = std::vector<std::pair<rt::vaddr_t, std::uint64_t>>;
+
 // Full compaction plan for one GC cycle.
 struct CompactionPlan {
+  CompactionPlan() = default;
+  // An empty plan over `heap`'s whole capacity, cut into regions of
+  // `region_bytes`.
+  CompactionPlan(const rt::Heap& heap, std::uint64_t region_bytes);
+
+  std::uint64_t RegionOf(rt::vaddr_t addr) const {
+    return (addr - heap_base) / region_bytes;
+  }
+
+  // Files `move` under its source region and raises that region's
+  // dependency bound to the region holding the end of the move's destination
+  // extent (a swap's page rotation writes up to it; the source extent's tail
+  // lies in the move's own region or above). Distinct regions may be filled
+  // concurrently.
+  void AddMove(const Move& move);
+
+  // Live objects the plan moves: the sum of Move::objects.
+  std::uint64_t moved_objects() const;
+
+  rt::vaddr_t heap_base = 0;
   std::uint64_t region_bytes = 0;
   std::vector<std::vector<Move>> region_moves;  // indexed by source region
   // Highest destination region each source region writes into (dependency
-  // bound for the parallel compaction ordering). ~0 means "no moves".
+  // bound for the parallel compaction ordering). kNoDep means "no moves".
   std::vector<std::uint64_t> region_dep;
-  // Dest-side gaps to refill with filler words after all moves complete.
-  std::vector<std::pair<rt::vaddr_t, std::uint64_t>> fillers;
+  // Written into the heap after all moves complete.
+  FillerList fillers;
   rt::vaddr_t new_top = 0;
   std::uint64_t live_objects = 0;
   std::uint64_t live_bytes = 0;
-  std::uint64_t moved_objects = 0;
 };
 
 // One sub-span inside a phase, at a phase-relative start time. `track`

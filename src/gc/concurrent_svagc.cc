@@ -183,30 +183,23 @@ void ConcurrentSvagc::StepRemark() {
   // the plan — it never moves this cycle.
   jvm.RetireAllTlabs();
   top_at_plan_ = heap.top();
-  plan_.region_bytes = config_.region_bytes;
-  const std::uint64_t num_regions =
-      CeilDiv(heap.capacity(), config_.region_bytes);
-  plan_.region_moves.resize(num_regions);
-  plan_.region_dep.assign(num_regions, kNoDep);
+  plan_ = CompactionPlan(heap, config_.region_bytes);
   plan_cursor_ = heap.base();
   comp_pnt_ = heap.base();
   phase_ = ConcPhase::kPlan;
 }
 
-// Resumable replica of ComputeForwarding (forwarding.cc): same destinations,
-// same fillers, same region moves/deps, same charges — but walked over
-// [plan_cursor_, top_at_plan) in budget-bounded quanta, and additionally
-// feeding the fwd/rev side maps the barrier serves from (the STW path reads
-// forwarding words instead, which evacuation clobbers before our adjust).
+// Resumable ComputeForwarding (see kPlan in the header): the same CalcNewAdd
+// step walked over [plan_cursor_, top_at_plan) in budget-bounded quanta,
+// additionally feeding the fwd/rev side maps the barrier serves from (the
+// STW path reads forwarding words instead, which evacuation clobbers before
+// our adjust).
 void ConcurrentSvagc::StepPlanQuantum() {
   rt::Jvm& jvm = cycle_jvm();
   rt::Heap& heap = jvm.heap();
   const double window = RunSerialPhase([&](sim::CpuContext& ctx) {
     sim::AddressSpace& as = jvm.address_space();
     const double start = ctx.account.total();
-    const auto region_of = [&](rt::vaddr_t addr) {
-      return (addr - heap.base()) / plan_.region_bytes;
-    };
     while (plan_cursor_ < top_at_plan_) {
       const std::uint64_t word = as.ReadWord(plan_cursor_);
       if (rt::IsFillerWord(word)) {
@@ -223,34 +216,15 @@ void ConcurrentSvagc::StepPlanQuantum() {
                                static_cast<double>(size));
         if (bitmap_->IsMarked(addr)) {
           ctx.account.Charge(sim::CostKind::kCompute, costs().forward_obj);
-          const bool large = heap.IsLargeObject(size);
-          const rt::vaddr_t dst = heap.AlignFor(size, comp_pnt_);
-          if (dst > comp_pnt_) {
-            plan_.fillers.emplace_back(comp_pnt_, dst - comp_pnt_);
-          }
-          rt::ObjectView view(as, addr);
-          view.set_forwarding(dst);
+          const rt::vaddr_t dst =
+              CalcNewAdd(heap, addr, size, /*evacuate_all_live=*/false,
+                         comp_pnt_, plan_, plan_.fillers);
           live_.push_back(addr);
           ++plan_.live_objects;
           plan_.live_bytes += size;
           if (dst != addr) {
-            SVAGC_DCHECK(dst < addr);  // sliding compaction only moves left
-            const std::uint64_t region = region_of(addr);
-            const rt::vaddr_t dst_hi =
-                (large ? AlignUp(dst + size, sim::kPageSize) : dst + size) - 1;
-            auto& dep = plan_.region_dep[region];
-            const std::uint64_t candidate = region_of(dst_hi);
-            dep = (dep == kNoDep) ? candidate : std::max(dep, candidate);
-            plan_.region_moves[region].push_back(Move{addr, dst, size, large});
-            ++plan_.moved_objects;
             fwd_.emplace(addr, dst);
             rev_.emplace(dst, addr);
-          }
-          comp_pnt_ = dst + size;
-          const rt::vaddr_t post = heap.AlignFor(size, comp_pnt_);
-          if (post > comp_pnt_) {
-            plan_.fillers.emplace_back(comp_pnt_, post - comp_pnt_);
-            comp_pnt_ = post;
           }
         }
         plan_cursor_ += size;

@@ -20,11 +20,13 @@
 //                      (parsable-heap point), snapshots top_at_plan, arms
 //                      the plan walk. SATB off; allocation now goes above
 //                      top_at_plan and is exempt from the plan.
-//   kPlan       conc.  resumable forwarding walk over [base, top_at_plan),
-//                      replicating ComputeForwarding bit-for-bit (same plan,
-//                      same fillers, same charges) but yielding on the
-//                      quantum budget; also builds the old->new (fwd) and
-//                      new->old (rev) side maps the barrier serves from.
+//   kPlan       conc.  resumable forwarding walk over [base, top_at_plan)
+//                      running ComputeForwarding's CalcNewAdd step (same
+//                      plan, same fillers) but yielding on the quantum
+//                      budget. Only the charge totals match the STW walk:
+//                      this one charges per object and per filler gap, not
+//                      one up-front sweep. Also builds the old->new (fwd)
+//                      and new->old (rev) side maps the barrier serves from.
 //   kEvacuate   [STW]  incremental relocation windows: moves execute in
 //                      globally ascending source order (region-ascending,
 //                      in-region ascending — the proven-safe serial

@@ -2,23 +2,31 @@
 
 namespace svagc::gc {
 
+rt::vaddr_t CalcNewAdd(rt::Heap& heap, rt::vaddr_t addr, std::uint64_t size,
+                       bool evacuate_all_live, rt::vaddr_t& comp_pnt,
+                       CompactionPlan& plan, FillerList& fillers) {
+  const rt::Heap::Placement place = heap.Place(size, comp_pnt);
+  if (place.dst > comp_pnt) {
+    fillers.emplace_back(comp_pnt, place.dst - comp_pnt);
+  }
+  rt::ObjectView(heap.address_space(), addr).set_forwarding(place.dst);
+  if (place.dst != addr || evacuate_all_live) {
+    SVAGC_DCHECK(place.dst <= addr);  // sliding compaction only moves left
+    plan.AddMove(Move{addr, place.dst, size, heap.IsLargeObject(size)});
+  }
+  const rt::vaddr_t end = place.dst + size;
+  if (place.next > end) fillers.emplace_back(end, place.next - end);
+  comp_pnt = place.next;
+  return place.dst;
+}
+
 ForwardingResult ComputeForwarding(rt::Jvm& jvm, const MarkBitmap& bitmap,
                                    sim::CpuContext& ctx, const GcCosts& costs,
                                    std::uint64_t region_bytes,
                                    bool evacuate_all_live) {
-  ForwardingResult result;
   rt::Heap& heap = jvm.heap();
-  sim::AddressSpace& as = jvm.address_space();
+  ForwardingResult result{CompactionPlan(heap, region_bytes), {}};
   CompactionPlan& plan = result.plan;
-  plan.region_bytes = region_bytes;
-  const std::uint64_t num_regions =
-      CeilDiv(heap.capacity(), region_bytes);
-  plan.region_moves.resize(num_regions);
-  plan.region_dep.assign(num_regions, kNoDep);
-
-  auto region_of = [&](rt::vaddr_t addr) {
-    return (addr - heap.base()) / region_bytes;
-  };
 
   // Linear sweep over the whole used heap (phase II touches every header).
   ctx.account.Charge(sim::CostKind::kCompute,
@@ -28,43 +36,11 @@ ForwardingResult ComputeForwarding(rt::Jvm& jvm, const MarkBitmap& bitmap,
   heap.ForEachObject([&](rt::vaddr_t addr, std::uint64_t size) {
     if (!bitmap.IsMarked(addr)) return;  // garbage: skipped, space reclaimed
     ctx.account.Charge(sim::CostKind::kCompute, costs.forward_obj);
-    const bool large = heap.IsLargeObject(size);
-
-    // CALCNEWADD: align the compaction pointer for large objects, with the
-    // gap recorded as a dest-side filler.
-    const rt::vaddr_t dst = heap.AlignFor(size, comp_pnt);
-    if (dst > comp_pnt) plan.fillers.emplace_back(comp_pnt, dst - comp_pnt);
-
-    rt::ObjectView view(as, addr);
-    view.set_forwarding(dst);
+    CalcNewAdd(heap, addr, size, evacuate_all_live, comp_pnt, plan,
+               plan.fillers);
     result.live.push_back(addr);
     ++plan.live_objects;
     plan.live_bytes += size;
-
-    if (dst != addr || evacuate_all_live) {
-      SVAGC_DCHECK(dst <= addr);  // sliding compaction only moves left
-      const std::uint64_t region = region_of(addr);
-      // Dependency bound: the highest region this move writes into. Large
-      // objects may be swapped, whose page rotation also writes the tail of
-      // the *destination* page extent; the source-extent tail is the
-      // object's own region (>= region) and needs no extra ordering.
-      const rt::vaddr_t dst_hi =
-          (large ? AlignUp(dst + size, sim::kPageSize) : dst + size) - 1;
-      auto& dep = plan.region_dep[region];
-      const std::uint64_t dep_candidate = region_of(dst_hi);
-      dep = (dep == kNoDep) ? dep_candidate : std::max(dep, dep_candidate);
-      plan.region_moves[region].push_back(Move{addr, dst, size, large});
-      ++plan.moved_objects;
-    }
-
-    comp_pnt = dst + size;
-    // Post-alignment after a large object (Algorithm 3 line 25): the next
-    // destination starts on a fresh page; the tail becomes filler.
-    const rt::vaddr_t post = heap.AlignFor(size, comp_pnt);
-    if (post > comp_pnt) {
-      plan.fillers.emplace_back(comp_pnt, post - comp_pnt);
-      comp_pnt = post;
-    }
   });
   plan.new_top = comp_pnt;
   return result;
@@ -103,15 +79,11 @@ ForwardingResult ComputeForwardingParallel(rt::Jvm& jvm,
                                            std::uint64_t region_bytes,
                                            bool evacuate_all_live,
                                            double* critical_path) {
-  ForwardingResult result;
   rt::Heap& heap = jvm.heap();
   sim::AddressSpace& as = jvm.address_space();
   const GcCosts& costs = collector.costs();
+  ForwardingResult result{CompactionPlan(heap, region_bytes), {}};
   CompactionPlan& plan = result.plan;
-  plan.region_bytes = region_bytes;
-  const std::uint64_t num_regions = CeilDiv(heap.capacity(), region_bytes);
-  plan.region_moves.resize(num_regions);
-  plan.region_dep.assign(num_regions, kNoDep);
 
   const rt::vaddr_t base = heap.base();
   const rt::vaddr_t top = heap.top();
@@ -119,9 +91,6 @@ ForwardingResult ComputeForwardingParallel(rt::Jvm& jvm,
   const unsigned stride = collector.gc_threads();
   double cp = 0;
 
-  auto region_of = [&](rt::vaddr_t addr) {
-    return (addr - base) / region_bytes;
-  };
   auto region_begin = [&](std::uint64_t r) { return base + r * region_bytes; };
   auto region_end = [&](std::uint64_t r) {
     return std::min<rt::vaddr_t>(base + (r + 1) * region_bytes, top);
@@ -174,7 +143,7 @@ ForwardingResult ComputeForwardingParallel(rt::Jvm& jvm,
           level = 2;
         } else {
           // Offsets are relative to a base at least as aligned as `grain`,
-          // so AlignFor commutes with adding the base.
+          // so the layout rule commutes with adding the base.
           const std::uint64_t dst_off = large ? AlignUp(off, grain) : off;
           off = dst_off + size;
           if (large) off = AlignUp(off, grain);
@@ -210,13 +179,11 @@ ForwardingResult ComputeForwardingParallel(rt::Jvm& jvm,
     plan.new_top = entry;
   });
 
-  // Step 3: parallel install — every region replays Algorithm 3 from its
+  // Step 3: parallel install — every region runs CalcNewAdd from its
   // precomputed base, writing forwarding slots and emitting its own live,
   // filler and move lists. Same strided assignment as step 1.
   std::vector<std::vector<rt::vaddr_t>> live_by_region(used_regions);
-  std::vector<std::vector<std::pair<rt::vaddr_t, std::uint64_t>>>
-      fillers_by_region(used_regions);
-  std::vector<std::uint64_t> moved_by_region(used_regions, 0);
+  std::vector<FillerList> fillers_by_region(used_regions);
   cp += collector.RunParallelPhase([&](unsigned worker,
                                        sim::CpuContext& ctx) {
     for (std::uint64_t r = worker; r < used_regions; r += stride) {
@@ -229,35 +196,9 @@ ForwardingResult ComputeForwardingParallel(rt::Jvm& jvm,
       bitmap.ForEachMarkedInRange(lo, hi, [&](rt::vaddr_t addr) {
         ctx.account.Charge(sim::CostKind::kCompute, costs.forward_obj);
         const std::uint64_t size = rt::ObjectView(as, addr).size();
-        const bool large = heap.IsLargeObject(size);
-
-        const rt::vaddr_t dst = heap.AlignFor(size, comp_pnt);
-        if (dst > comp_pnt) {
-          fillers_by_region[r].emplace_back(comp_pnt, dst - comp_pnt);
-        }
-
-        rt::ObjectView view(as, addr);
-        view.set_forwarding(dst);
+        CalcNewAdd(heap, addr, size, evacuate_all_live, comp_pnt, plan,
+                   fillers_by_region[r]);
         live_by_region[r].push_back(addr);
-
-        if (dst != addr || evacuate_all_live) {
-          SVAGC_DCHECK(dst <= addr);
-          const rt::vaddr_t dst_hi =
-              (large ? AlignUp(dst + size, sim::kPageSize) : dst + size) - 1;
-          auto& dep = plan.region_dep[r];
-          const std::uint64_t dep_candidate = region_of(dst_hi);
-          dep = (dep == kNoDep) ? dep_candidate
-                                : std::max(dep, dep_candidate);
-          plan.region_moves[r].push_back(Move{addr, dst, size, large});
-          ++moved_by_region[r];
-        }
-
-        comp_pnt = dst + size;
-        const rt::vaddr_t post = heap.AlignFor(size, comp_pnt);
-        if (post > comp_pnt) {
-          fillers_by_region[r].emplace_back(comp_pnt, post - comp_pnt);
-          comp_pnt = post;
-        }
       });
       // The replayed layout must land exactly on the next region's entry —
       // the prefix scan and the install pass agree or the plan is corrupt.
@@ -277,7 +218,6 @@ ForwardingResult ComputeForwardingParallel(rt::Jvm& jvm,
                          live_by_region[r].end());
       plan.fillers.insert(plan.fillers.end(), fillers_by_region[r].begin(),
                           fillers_by_region[r].end());
-      plan.moved_objects += moved_by_region[r];
     }
   });
 

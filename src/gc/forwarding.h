@@ -29,7 +29,6 @@
 namespace svagc::gc {
 
 inline constexpr std::uint64_t kDefaultRegionBytes = 64 * sim::kPageSize;
-inline constexpr std::uint64_t kNoDep = ~0ULL;
 
 struct ForwardingResult {
   CompactionPlan plan;
@@ -38,11 +37,21 @@ struct ForwardingResult {
   std::vector<rt::vaddr_t> live;
 };
 
-// Walks the heap, assigns each live object its destination (page-aligning
-// large objects per the heap's policy), stores it in the object header's
-// forwarding slot, and accumulates the compaction plan. With
-// `evacuate_all_live`, unmoved objects (dst == src) are still planned as
-// moves — the cost shape of an evacuating collector.
+// Algorithm 3's CALCNEWADD for the live object [addr, addr + size): the one
+// step behind ComputeForwarding, each region of ComputeForwardingParallel's
+// install, ConcurrentSvagc's plan walk and OptimizePlan. Places the object
+// at `comp_pnt` by Heap::Place, appends both alignment gaps to `fillers`,
+// writes the object's forwarding slot, files a Move in `plan` when the
+// object moves (always, with `evacuate_all_live`), and advances `comp_pnt`
+// past the placement. Charges nothing; each caller keeps its own charge
+// schedule. Returns the destination.
+rt::vaddr_t CalcNewAdd(rt::Heap& heap, rt::vaddr_t addr, std::uint64_t size,
+                       bool evacuate_all_live, rt::vaddr_t& comp_pnt,
+                       CompactionPlan& plan, FillerList& fillers);
+
+// Walks the heap, runs CalcNewAdd on each live object, and accumulates the
+// compaction plan. With `evacuate_all_live`, unmoved objects (dst == src)
+// are still planned as moves — the cost shape of an evacuating collector.
 ForwardingResult ComputeForwarding(rt::Jvm& jvm, const MarkBitmap& bitmap,
                                    sim::CpuContext& ctx, const GcCosts& costs,
                                    std::uint64_t region_bytes,

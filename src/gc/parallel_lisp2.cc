@@ -338,21 +338,19 @@ double ParallelLisp2::CompactWorkStealing(rt::Jvm& jvm,
 
   // Per non-empty region: the span its moves read from and write to. Moves
   // are emitted in ascending source (and therefore destination) order, so
-  // the first/last move bound the extents; SwapVA touches whole pages, so
-  // large-object ends round up. Both sequences are ascending across
-  // regions, which keeps each region's dependency set a contiguous run.
+  // the first/last move bound the extents (Move::ExtentEnd rounds large
+  // ends up to whole pages). Both sequences are ascending across regions,
+  // which keeps each region's dependency set a contiguous run.
   struct Extent {
     rt::vaddr_t src_lo, src_hi;  // [lo, hi)
     rt::vaddr_t dst_lo, dst_hi;
   };
-  auto move_end = [](const Move& m, rt::vaddr_t at) {
-    return m.large ? AlignUp(at + m.size, sim::kPageSize) : at + m.size;
-  };
   std::vector<Extent> extents(work.size());
   for (std::size_t i = 0; i < work.size(); ++i) {
-    const auto& moves = plan.region_moves[work[i]];
-    extents[i] = {moves.front().src, move_end(moves.back(), moves.back().src),
-                  moves.front().dst, move_end(moves.back(), moves.back().dst)};
+    const Move& first = plan.region_moves[work[i]].front();
+    const Move& last = plan.region_moves[work[i]].back();
+    extents[i] = {first.src, last.ExtentEnd(last.src), first.dst,
+                  last.ExtentEnd(last.dst)};
   }
 
   std::vector<std::uint32_t> initial_deps(num_regions, 0);

@@ -49,12 +49,8 @@ PlanOptimizerStats OptimizePlan(rt::Jvm& jvm, ForwardingResult& fwd,
 
   rt::Heap& heap = jvm.heap();
   sim::AddressSpace& as = jvm.address_space();
-  CompactionPlan& plan = fwd.plan;
-  const std::uint64_t region_bytes = plan.region_bytes;
   const std::size_t n = fwd.live.size();
   const rt::vaddr_t base = heap.base();
-
-  auto region_of = [&](rt::vaddr_t addr) { return (addr - base) / region_bytes; };
 
   // Scan pass: cache every live object's size (one header read each).
   std::vector<std::uint64_t> sizes(n);
@@ -82,7 +78,7 @@ PlanOptimizerStats OptimizePlan(rt::Jvm& jvm, ForwardingResult& fwd,
 
     double move_cost = 0;             // modeled cost of moving objects [0, i)
     std::uint64_t live_prefix = 0;    // live bytes in [0, i)
-    std::uint64_t prev_region = region_of(fwd.live[0]);
+    std::uint64_t prev_region = fwd.plan.RegionOf(fwd.live[0]);
     auto consider = [&](std::size_t i_end) {
       const rt::vaddr_t span_end = fwd.live[i_end - 1] + sizes[i_end - 1];
       const std::uint64_t garbage = (span_end - base) - live_prefix;
@@ -94,7 +90,7 @@ PlanOptimizerStats OptimizePlan(rt::Jvm& jvm, ForwardingResult& fwd,
       return true;
     };
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t region = region_of(fwd.live[i]);
+      const std::uint64_t region = fwd.plan.RegionOf(fwd.live[i]);
       if (region != prev_region) {
         if (!consider(i)) break;  // garbage is monotone in the prefix length
         prev_region = region;
@@ -115,21 +111,16 @@ PlanOptimizerStats OptimizePlan(rt::Jvm& jvm, ForwardingResult& fwd,
   }
 
   // Layout pass: re-run CALCNEWADD over the live list with the prefix pinned
-  // and (optionally) small-object runs coalesced. Rebuilds moves, deps,
-  // fillers, moved_objects and new_top from scratch; live_objects/live_bytes
-  // and fwd.live are untouched (phase III still visits pinned objects).
-  for (auto& moves : plan.region_moves) moves.clear();
-  plan.region_dep.assign(plan.region_dep.size(), kNoDep);
-  plan.fillers.clear();
-  plan.moved_objects = 0;
+  // and (optionally) small-object runs coalesced, into a fresh plan.
+  // live_objects/live_bytes and fwd.live carry over (phase III still visits
+  // pinned objects).
+  CompactionPlan rebuilt(heap, fwd.plan.region_bytes);
+  rebuilt.live_objects = fwd.plan.live_objects;
+  rebuilt.live_bytes = fwd.plan.live_bytes;
+  fwd.plan = std::move(rebuilt);
+  CompactionPlan& plan = fwd.plan;
   ctx.account.Charge(sim::CostKind::kCompute,
                      costs.plan_obj * static_cast<double>(n));
-
-  auto note_dep = [&](std::uint64_t region, rt::vaddr_t dst_hi) {
-    auto& dep = plan.region_dep[region];
-    const std::uint64_t candidate = region_of(dst_hi);
-    dep = (dep == kNoDep) ? candidate : std::max(dep, candidate);
-  };
 
   rt::vaddr_t comp_pnt = base;
   std::size_t i = 0;
@@ -138,15 +129,11 @@ PlanOptimizerStats OptimizePlan(rt::Jvm& jvm, ForwardingResult& fwd,
     const rt::vaddr_t addr = fwd.live[i];
     // Garbage gaps inside the pinned prefix stay unreclaimed: filler.
     if (addr > comp_pnt) plan.fillers.emplace_back(comp_pnt, addr - comp_pnt);
-    rt::ObjectView(as, addr).set_forwarding(addr);
-    comp_pnt = addr + sizes[i];
-    // A pinned large object keeps its page extent; nothing may pack into its
-    // tail page (same post-alignment filler CALCNEWADD emits after larges).
-    const rt::vaddr_t post = heap.AlignFor(sizes[i], comp_pnt);
-    if (post > comp_pnt) {
-      plan.fillers.emplace_back(comp_pnt, post - comp_pnt);
-      comp_pnt = post;
-    }
+    // A live object already obeys the layout rule where it sits, so the step
+    // keeps it in place (no move) and still post-aligns a large one.
+    comp_pnt = addr;
+    CalcNewAdd(heap, addr, sizes[i], /*evacuate_all_live=*/false, comp_pnt,
+               plan, plan.fillers);
   }
   stats.dense_prefix_objects = pinned;
   stats.dense_prefix_bytes = comp_pnt - base;
@@ -206,13 +193,8 @@ PlanOptimizerStats OptimizePlan(rt::Jvm& jvm, ForwardingResult& fwd,
 
       if (dst != addr || evacuate_all_live) {
         SVAGC_DCHECK(dst <= addr);
-        // Byte-precise dep: run interior swaps write only inside
-        // [dst, dst+len) — interior pages sit fully inside the byte span, so
-        // no page-rounding is needed (unlike the large-object case).
-        note_dep(region_of(addr), dst + len - 1);
-        plan.region_moves[region_of(addr)].push_back(
+        plan.AddMove(
             Move{addr, dst, len, /*large=*/false, /*run=*/true, count});
-        plan.moved_objects += count;
         if (count >= 2) {
           ++stats.runs_coalesced;
           stats.objects_in_runs += count;
@@ -222,25 +204,9 @@ PlanOptimizerStats OptimizePlan(rt::Jvm& jvm, ForwardingResult& fwd,
       comp_pnt = dst + len;
       i = j;
     } else {
-      // Verbatim CALCNEWADD replay (large objects, or coalescing off).
-      const rt::vaddr_t dst = heap.AlignFor(size, comp_pnt);
-      if (dst > comp_pnt) plan.fillers.emplace_back(comp_pnt, dst - comp_pnt);
-      rt::ObjectView(as, addr).set_forwarding(dst);
-      if (dst != addr || evacuate_all_live) {
-        SVAGC_DCHECK(dst <= addr);
-        const rt::vaddr_t dst_hi =
-            (large ? AlignUp(dst + size, sim::kPageSize) : dst + size) - 1;
-        note_dep(region_of(addr), dst_hi);
-        plan.region_moves[region_of(addr)].push_back(
-            Move{addr, dst, size, large});
-        ++plan.moved_objects;
-      }
-      comp_pnt = dst + size;
-      const rt::vaddr_t post = heap.AlignFor(size, comp_pnt);
-      if (post > comp_pnt) {
-        plan.fillers.emplace_back(comp_pnt, post - comp_pnt);
-        comp_pnt = post;
-      }
+      // Large objects, or coalescing off: the plain CALCNEWADD step.
+      CalcNewAdd(heap, addr, size, evacuate_all_live, comp_pnt, plan,
+                 plan.fillers);
       ++i;
     }
   }

@@ -1,7 +1,5 @@
 #include "runtime/heap.h"
 
-#include <algorithm>
-
 namespace svagc::rt {
 
 Heap::Heap(sim::AddressSpace& as, const HeapConfig& config)
@@ -30,30 +28,22 @@ Heap::~Heap() { as_.UnmapRange(base_, end_ - base_); }
 
 vaddr_t Heap::AllocateRaw(std::uint64_t bytes) {
   SVAGC_DCHECK(IsAligned(bytes, 8) && bytes >= kMinObjectBytes);
-  const bool large = IsLargeObject(bytes);
-  const vaddr_t aligned = AlignFor(bytes, top_);
-  if (aligned + bytes > end_) return 0;
-  if (aligned > top_) {
-    WriteFiller(top_, aligned - top_);
-    NoteAlignmentWaste(aligned - top_);
+  const Placement place = Place(bytes, top_);
+  const vaddr_t end_of_object = place.dst + bytes;
+  if (end_of_object > end_) return 0;
+  // end_ is aligned to the coarsest grain in use, so an object that fits
+  // never post-aligns past it.
+  SVAGC_DCHECK(place.next <= end_);
+  if (place.dst > top_) {
+    WriteFiller(top_, place.dst - top_);
+    NoteAlignmentWaste(place.dst - top_);
   }
-  const vaddr_t object = aligned;
-  top_ = aligned + bytes;
-  if (large) {
-    // Re-align the top so the next object begins on a fresh page and the
-    // large object's page extent contains no other object (Alg. 3 line 19).
-    // Huge objects own their 2 MiB units outright, so their swaps stay at
-    // PMD granularity end to end.
-    const std::uint64_t grain =
-        IsHugeObject(bytes) ? sim::kHugePageSize : sim::kPageSize;
-    const vaddr_t tail = std::min<vaddr_t>(AlignUp(top_, grain), end_);
-    if (tail > top_) {
-      WriteFiller(top_, tail - top_);
-      NoteAlignmentWaste(tail - top_);
-      top_ = tail;
-    }
+  if (place.next > end_of_object) {
+    WriteFiller(end_of_object, place.next - end_of_object);
+    NoteAlignmentWaste(place.next - end_of_object);
   }
-  return object;
+  top_ = place.next;
+  return place.dst;
 }
 
 vaddr_t Heap::AllocateTlabChunk(std::uint64_t bytes) {

@@ -69,18 +69,28 @@ class Heap {
            bytes >= huge_threshold_bytes();
   }
 
-  // IFSWAPALIGN (Algorithm 3): page-align the address for large objects,
-  // 2 MiB-align it for the huge class.
-  vaddr_t AlignFor(std::uint64_t bytes, vaddr_t address) const {
-    if (IsHugeObject(bytes)) return AlignUp(address, sim::kHugePageSize);
-    return IsLargeObject(bytes) ? AlignUp(address, sim::kPageSize) : address;
+  // Algorithm 3's layout rule, the one place it is written. An object of
+  // `bytes` placed at `at` starts at `dst`: IFSWAPALIGN puts a large object
+  // on a fresh page and a huge one on a fresh 2 MiB unit. The next object
+  // may start at `next`: post-alignment (line 19) keeps everything else off
+  // the large object's last page (unit), so a SwapVA of its page extent
+  // never carries a neighbour along. Small objects pack: next = dst + bytes.
+  struct Placement {
+    vaddr_t dst;
+    vaddr_t next;
+  };
+  Placement Place(std::uint64_t bytes, vaddr_t at) const {
+    if (!IsLargeObject(bytes)) return {at, at + bytes};
+    const std::uint64_t grain =
+        IsHugeObject(bytes) ? sim::kHugePageSize : sim::kPageSize;
+    const vaddr_t dst = AlignUp(at, grain);
+    return {dst, AlignUp(dst + bytes, grain)};
   }
 
-  // Algorithm 3's ALLOCMEM on the shared space: aligns for large objects,
-  // writes filler into alignment gaps, keeps the heap walkable, and
-  // re-aligns the top after a large object so the next allocation starts on
-  // a fresh page (line 19 — protects neighbours from SwapVA side effects).
-  // Returns 0 when the object does not fit (caller triggers GC).
+  // Algorithm 3's ALLOCMEM on the shared space: places the object at the
+  // top by Place(), writes filler into both alignment gaps so the heap stays
+  // walkable, and moves the top to the placement's `next`. Returns 0 when
+  // the object does not fit (caller triggers GC).
   vaddr_t AllocateRaw(std::uint64_t bytes);
 
   // Carves a page-aligned TLAB chunk of exactly `bytes` (page multiple) off

@@ -45,13 +45,15 @@ PmdEntry* PageTable::ResolvePmdEntry(std::uint64_t vpn, bool create) const {
 PteTable* PageTable::ResolveLeaf(std::uint64_t vpn, bool create) const {
   PmdEntry* entry = ResolvePmdEntry(vpn, create);
   if (entry == nullptr) return nullptr;
-  if (!entry->table) {
+  PteTable* leaf = entry->leaf();
+  if (leaf == nullptr) {
     // A huge-mapped unit has no PTE granularity until the leaf is split.
     if (!create) return nullptr;
     SVAGC_CHECK(!entry->huge.present());
-    entry->table = std::make_unique<PteTable>();
+    leaf = new PteTable();
+    entry->table.store(leaf, std::memory_order_release);
   }
-  return entry->table.get();
+  return leaf;
 }
 
 void PageTable::Map(std::uint64_t vpn, frame_t frame) {
@@ -76,7 +78,7 @@ frame_t PageTable::Unmap(std::uint64_t vpn) {
 void PageTable::MapHuge(std::uint64_t vpn, frame_t base_frame) {
   SVAGC_CHECK((vpn & kIndexMask) == 0);
   PmdEntry* entry = ResolvePmdEntry(vpn, /*create=*/true);
-  SVAGC_CHECK(!entry->table && !entry->huge.present());
+  SVAGC_CHECK(entry->leaf() == nullptr && !entry->huge.present());
   entry->huge = Pte::Make(base_frame);
   mapped_pages_ += kPagesPerHuge;
 }
@@ -93,18 +95,20 @@ frame_t PageTable::UnmapHuge(std::uint64_t vpn) {
 
 std::optional<frame_t> PageTable::LookupHuge(std::uint64_t vpn) const {
   const PmdEntry* entry = ResolvePmdEntry(vpn, /*create=*/false);
-  if (entry == nullptr || !entry->huge.present()) return std::nullopt;
-  return entry->huge.frame();
+  if (entry == nullptr) return std::nullopt;
+  const Pte huge = entry->huge_leaf();
+  if (!huge.present()) return std::nullopt;
+  return huge.frame();
 }
 
 std::optional<frame_t> PageTable::Lookup(std::uint64_t vpn) const {
   const PmdEntry* entry = ResolvePmdEntry(vpn, /*create=*/false);
   if (entry == nullptr) return std::nullopt;
-  if (entry->huge.present()) {
-    return entry->huge.frame() + PteIndex(vpn);
-  }
-  if (!entry->table) return std::nullopt;
-  const Pte pte = entry->table->entries[PteIndex(vpn)];
+  const Pte huge = entry->huge_leaf();
+  if (huge.present()) return huge.frame() + PteIndex(vpn);
+  const PteTable* leaf = entry->leaf();
+  if (leaf == nullptr) return std::nullopt;
+  const Pte pte = leaf->entries[PteIndex(vpn)];
   if (!pte.present()) return std::nullopt;
   return pte.frame();
 }
@@ -112,12 +116,14 @@ std::optional<frame_t> PageTable::Lookup(std::uint64_t vpn) const {
 Pte PageTable::LookupPte(std::uint64_t vpn) const {
   const PmdEntry* entry = ResolvePmdEntry(vpn, /*create=*/false);
   if (entry == nullptr) return Pte::Empty();
-  if (entry->huge.present()) {
+  const Pte huge = entry->huge_leaf();
+  if (huge.present()) {
     // A huge-covered page is always resident; synthesize its slice.
-    return Pte::Make(entry->huge.frame() + PteIndex(vpn));
+    return Pte::Make(huge.frame() + PteIndex(vpn));
   }
-  if (!entry->table) return Pte::Empty();
-  return entry->table->entries[PteIndex(vpn)];
+  const PteTable* leaf = entry->leaf();
+  if (leaf == nullptr) return Pte::Empty();
+  return leaf->entries[PteIndex(vpn)];
 }
 
 Translation::PteRef PageTable::LeafSlotRaw(std::uint64_t vpn) {
@@ -155,21 +161,24 @@ PmdEntry* PageTable::WalkToPmdEntry(std::uint64_t vpn, CycleAccount& acct,
 PteTable* PageTable::WalkToLeaf(std::uint64_t vpn, CycleAccount& acct,
                                 const CostProfile& cost,
                                 PmdCache* cache) const {
-  PmdEntry* entry = WalkToPmdEntry(vpn, acct, cost, cache);
+  PteTable* leaf = WalkToPmdEntry(vpn, acct, cost, cache)->leaf();
   // PTE-granularity callers must have split any huge leaf beforehand.
-  SVAGC_CHECK(entry->table != nullptr);
-  return entry->table.get();
+  SVAGC_CHECK(leaf != nullptr);
+  return leaf;
 }
 
 PteTable* PageTable::SplitHugeEntry(PmdEntry& entry) {
-  SVAGC_CHECK(entry.huge.present() && !entry.table);
+  SVAGC_CHECK(entry.huge.present() && entry.leaf() == nullptr);
   const frame_t base = entry.huge.frame();
-  entry.table = std::make_unique<PteTable>();
+  auto* leaf = new PteTable();
   for (std::uint64_t i = 0; i < kEntriesPerTable; ++i) {
-    entry.table->entries[i] = Pte::Make(base + i);
+    leaf->entries[i] = Pte::Make(base + i);
   }
-  entry.huge = Pte::Empty();
-  return entry.table.get();
+  // Publish the filled table before clearing the huge word (see PmdEntry).
+  entry.table.store(leaf, std::memory_order_release);
+  std::atomic_ref<std::uint64_t>(entry.huge.value)
+      .store(Pte::Empty().value, std::memory_order_release);
+  return leaf;
 }
 
 Pte* PageTable::GetPteLocked(std::uint64_t vpn, SpinLock** ptlp,
@@ -198,15 +207,17 @@ std::optional<frame_t> PageTable::HardwareWalk(std::uint64_t vpn,
   ctr_walks_->Add();
   const PmdEntry* entry = ResolvePmdEntry(vpn, /*create=*/false);
   if (entry == nullptr) return std::nullopt;
-  if (entry->huge.present()) {
+  const Pte huge_leaf = entry->huge_leaf();
+  if (huge_leaf.present()) {
     if (huge != nullptr) {
       huge->huge = true;
-      huge->unit_base_frame = entry->huge.frame();
+      huge->unit_base_frame = huge_leaf.frame();
     }
-    return entry->huge.frame() + PteIndex(vpn);
+    return huge_leaf.frame() + PteIndex(vpn);
   }
-  if (!entry->table) return std::nullopt;
-  const Pte pte = entry->table->entries[PteIndex(vpn)];
+  const PteTable* leaf = entry->leaf();
+  if (leaf == nullptr) return std::nullopt;
+  const Pte pte = leaf->entries[PteIndex(vpn)];
   if (!pte.present()) return std::nullopt;
   return pte.frame();
 }
@@ -228,8 +239,8 @@ Translation::PteRef PageTable::LeafForPteSwap(std::uint64_t vpn,
     SplitHugeEntry(*entry);
     ref.split_huge = true;
   }
-  SVAGC_CHECK(entry->table != nullptr);
-  PteTable* leaf = entry->table.get();
+  PteTable* leaf = entry->leaf();
+  SVAGC_CHECK(leaf != nullptr);
   split_lock_.unlock();
   ref.slot = &leaf->entries[PteIndex(vpn)];
   ref.lock = &leaf->lock;
@@ -254,7 +265,9 @@ void PageTable::ExchangeUnits(std::uint64_t unit_vpn_a,
   // The whole PMD slot exchanges: leaf-table pointer and huge leaf together,
   // whatever mix the two units carry. PteTable objects (locks included)
   // travel with their entries, so concurrent PTE locking stays coherent.
-  std::swap(ea->table, eb->table);
+  PteTable* const leaf_a = ea->leaf();
+  ea->table.store(eb->leaf(), std::memory_order_release);
+  eb->table.store(leaf_a, std::memory_order_release);
   std::swap(ea->huge, eb->huge);
 }
 
@@ -263,7 +276,7 @@ Pte* PageTable::HugeEntryForSwap(std::uint64_t unit_vpn, CycleAccount& acct,
   PmdEntry* entry = WalkToPmdEntry(unit_vpn, acct, cost, cache);
   // All-huge pre-scan guarantees this; with no PteTable present, rotating
   // only the huge values is the whole exchange.
-  SVAGC_CHECK(entry->huge.present() && entry->table == nullptr);
+  SVAGC_CHECK(entry->huge.present() && entry->leaf() == nullptr);
   return &entry->huge;
 }
 
@@ -297,8 +310,8 @@ void PageTable::VisitSmallPages(
         const auto& pmd = pud->entries[pud_i];
         if (!pmd) continue;
         for (std::uint64_t pmd_i = 0; pmd_i < kEntriesPerTable; ++pmd_i) {
-          const PmdEntry& entry = pmd->entries[pmd_i];
-          if (!entry.table) continue;  // unpopulated or huge-mapped: skip
+          const PteTable* leaf = pmd->entries[pmd_i].leaf();
+          if (leaf == nullptr) continue;  // unpopulated or huge-mapped: skip
           const std::uint64_t unit_vpn =
               (((pgd_i * kEntriesPerTable + p4d_i) * kEntriesPerTable +
                 pud_i) *
@@ -306,7 +319,7 @@ void PageTable::VisitSmallPages(
                pmd_i)
               << kLevelBits;
           for (std::uint64_t i = 0; i < kEntriesPerTable; ++i) {
-            const Pte pte = entry.table->entries[i];
+            const Pte pte = leaf->entries[i];
             if (pte.value != 0) fn(unit_vpn + i, pte);
           }
         }
@@ -318,7 +331,7 @@ void PageTable::VisitSmallPages(
 std::uint64_t PageTable::CountAliasedPmdEntries() const {
   std::uint64_t aliased = 0;
   ForEachPmdEntry(*pgd_, [&](const PmdEntry& entry) {
-    if (entry.table && entry.huge.present()) ++aliased;
+    if (entry.leaf() != nullptr && entry.huge.present()) ++aliased;
   });
   return aliased;
 }

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -36,8 +37,28 @@ struct PteTable {
 // frames (vpn i inside the unit resolves to huge.frame() + (i & kIndexMask)).
 // Exactly one of {table, huge.present()} may be set; both at once is the
 // aliasing bug CheckHugeMappingConsistency exists to catch.
+//
+// Lockless lookups (AddressSpace::RawPtr during parallel compaction) race
+// SplitHugeEntry, which demotes a huge leaf under the page table's split
+// lock. The split fills the new table, publishes it with a release store,
+// and only then clears the huge word with another; the lockless readers
+// load the huge word first and the table second, both with acquire. A
+// reader that still sees the huge leaf resolves through it (the split maps
+// the same frames); one that sees it cleared finds the complete table.
 struct PmdEntry {
-  std::unique_ptr<PteTable> table;
+  PmdEntry() = default;
+  PmdEntry(const PmdEntry&) = delete;
+  PmdEntry& operator=(const PmdEntry&) = delete;
+  ~PmdEntry() { delete table.load(std::memory_order_relaxed); }
+
+  PteTable* leaf() const { return table.load(std::memory_order_acquire); }
+  Pte huge_leaf() const {
+    return Pte{std::atomic_ref<std::uint64_t>(
+                   const_cast<std::uint64_t&>(huge.value))
+                   .load(std::memory_order_acquire)};
+  }
+
+  std::atomic<PteTable*> table{nullptr};  // owned
   Pte huge = Pte::Empty();
 };
 

@@ -101,7 +101,10 @@ std::unique_ptr<gc::CollectorBase> MakeCollector(CollectorKind kind,
   gen.verify_remset = config.generational.verify_remset;
   gen.gang_workers = config.gc_threads;
   gen.move.threshold_pages = config.swap_threshold_pages;
-  gen.move.use_swapva = kind != CollectorKind::kSvagcNoSwap;
+  // The nursery may swap only where large objects own their last page:
+  // behind a memmove collector it copies.
+  gen.move.use_swapva = kind == CollectorKind::kSvagc ||
+                        kind == CollectorKind::kSvagcNaiveTlb;
   return std::make_unique<core::GenerationalCollector>(
       machine, first_core, std::move(lisp2), gen);
 }
@@ -262,33 +265,7 @@ const char* CollectorKindName(CollectorKind kind) {
 }
 
 RunResult RunWorkload(const RunConfig& config) {
-  const sim::CostProfile& profile =
-      config.profile != nullptr ? *config.profile : sim::ProfileXeonGold6130();
-  sim::Machine machine(config.machine_cores, profile,
-                       config.translation_backend);
-  sim::Kernel kernel(machine);
-  machine.set_tracer(config.trace_recorder != nullptr
-                         ? config.trace_recorder
-                         : telemetry::EnvTraceRecorder());
-
-  // Physical memory: the heap plus slack for page-table-free bookkeeping.
-  auto workload_probe = MakeWorkload(config.workload);
-  SVAGC_CHECK(workload_probe != nullptr);
-  const std::uint64_t heap_bytes = static_cast<std::uint64_t>(
-      static_cast<double>(workload_probe->info().min_heap_bytes) *
-      config.heap_factor);
-  sim::PhysicalMemory phys(heap_bytes + (8ULL << 20));
-
-  TenantBundle bundle = MakeTenant(config, machine, phys, kernel,
-                                   /*tenant=*/0, /*mutator_core=*/0,
-                                   /*gc_first_core=*/0,
-                                   /*heap_base=*/1ULL << 32);
-  bundle.workload->Setup(*bundle.jvm);
-  const unsigned iterations = config.iterations != 0
-                                  ? config.iterations
-                                  : bundle.workload->default_iterations();
-  for (unsigned i = 0; i < iterations; ++i) bundle.workload->Iterate(*bundle.jvm);
-  return HarvestTenant(config, machine, bundle, iterations);
+  return RunMultiJvm(config, 1).front();
 }
 
 std::vector<RunResult> RunMultiJvm(const RunConfig& config, unsigned num_jvms) {

@@ -235,7 +235,7 @@ TEST_F(PhaseTest, EvacuateAllLivePlansEveryObject) {
   const ForwardingResult fwd = ComputeForwarding(
       *jvm_, bitmap, collector.worker_ctx(0), collector.costs(),
       kDefaultRegionBytes, /*evacuate_all_live=*/true);
-  EXPECT_EQ(fwd.plan.moved_objects, stats.live_objects);
+  EXPECT_EQ(fwd.plan.moved_objects(), stats.live_objects);
 }
 
 // --- parallel forwarding ------------------------------------------------------
@@ -325,7 +325,7 @@ class ParallelForwarding : public ::testing::TestWithParam<unsigned> {
     EXPECT_EQ(got.plan.new_top, want.plan.new_top);
     EXPECT_EQ(got.plan.live_objects, want.plan.live_objects);
     EXPECT_EQ(got.plan.live_bytes, want.plan.live_bytes);
-    EXPECT_EQ(got.plan.moved_objects, want.plan.moved_objects);
+    EXPECT_EQ(got.plan.moved_objects(), want.plan.moved_objects());
   }
 };
 

@@ -4,6 +4,9 @@
 //     object graph as full-only runs, across three churn workloads and both
 //     translation backends (the ISSUE acceptance criterion, asserted here,
 //     not just in the fig24 bench).
+//   * Memmove collectors — the same digest identity with the front end ahead
+//     of ParallelGC, Shenandoah and SerialLISP2, whose heaps do not
+//     page-align large objects.
 //   * Remembered-set superset oracle — runs with verify_remset=true, which
 //     walks the whole old space after every minor collection and CHECKs that
 //     every old→young reference slot is covered by remset ∪ store buffers.
@@ -17,9 +20,11 @@
 //     SVAGC_SOAK_SCALE like the fleet/concurrent/overcommit soaks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/generational_collector.h"
@@ -150,6 +155,46 @@ INSTANTIATE_TEST_SUITE_P(Backends, GenerationalDigest,
                          ::testing::Values(TranslationBackend::kRadix,
                                            TranslationBackend::kHashed),
                          BackendName);
+
+// --- memmove collectors -----------------------------------------------------
+
+// The front end ahead of a collector whose heap does not page-align large
+// objects. The nursery must lay survivors out by that heap's rule (a copy
+// group packs its members, so an aligned member would overrun the group) and
+// must copy them: a SwapVA of an object that does not own its last page
+// carries a neighbour's bytes along.
+using MemmoveCase = std::tuple<CollectorKind, std::string>;
+
+class GenerationalMemmove : public ::testing::TestWithParam<MemmoveCase> {};
+
+TEST_P(GenerationalMemmove, MinorPlusFullMatchesFullOnly) {
+  const auto& [kind, workload] = GetParam();
+  RunConfig off = ChurnConfig(workload, TranslationBackend::kRadix, 40);
+  off.collector = kind;
+  off.verify_heap = true;
+  const DigestOutcome base = RunForDigest(off);
+
+  RunConfig gen = off;
+  gen.generational.enabled = true;
+  const DigestOutcome out = RunForDigest(gen);
+  EXPECT_GT(out.minors, 0u) << "nursery never scavenged";
+  EXPECT_EQ(base.digest, out.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, GenerationalMemmove,
+    ::testing::Combine(::testing::Values(CollectorKind::kParallelGc,
+                                         CollectorKind::kShenandoah,
+                                         CollectorKind::kSerialLisp2),
+                       ::testing::Values("lrucache", "fft.large",
+                                         "sparse.large")),
+    [](const ::testing::TestParamInfo<MemmoveCase>& info) {
+      std::string name = std::string(workloads::CollectorKindName(
+                             std::get<0>(info.param))) +
+                         "_" + std::get<1>(info.param);
+      std::replace(name.begin(), name.end(), '.', '_');
+      return name;
+    });
 
 // --- remembered-set superset oracle -----------------------------------------
 

@@ -143,7 +143,7 @@ TEST_F(PlanFixture, ReplayOnLargeOnlyHeapReproducesSerialPlan) {
   EXPECT_EQ(optimized.plan.region_dep, baseline.plan.region_dep);
   EXPECT_EQ(optimized.plan.fillers, baseline.plan.fillers);
   EXPECT_EQ(optimized.plan.new_top, baseline.plan.new_top);
-  EXPECT_EQ(optimized.plan.moved_objects, baseline.plan.moved_objects);
+  EXPECT_EQ(optimized.plan.moved_objects(), baseline.plan.moved_objects());
   for (std::size_t i = 0; i < baseline.live.size(); ++i) {
     EXPECT_EQ(jvm_->View(baseline.live[i]).forwarding(), want[i]);
   }
@@ -171,7 +171,7 @@ TEST_F(PlanFixture, CoalesceWithoutAlignKeepsForwardingAddresses) {
           << "seed " << seed << " object " << i;
     }
     EXPECT_EQ(optimized.plan.new_top, baseline.plan.new_top);
-    EXPECT_EQ(optimized.plan.moved_objects, baseline.plan.moved_objects);
+    EXPECT_EQ(optimized.plan.moved_objects(), baseline.plan.moved_objects());
     EXPECT_GT(stats.runs_coalesced, 0u) << "seed " << seed;
 
     // Counter identity: every emitted move accounts for its member objects,
@@ -187,7 +187,7 @@ TEST_F(PlanFixture, CoalesceWithoutAlignKeepsForwardingAddresses) {
         covered += move.objects;
       }
     }
-    EXPECT_EQ(covered, optimized.plan.moved_objects);
+    EXPECT_EQ(covered, optimized.plan.moved_objects());
     std::uint64_t hist = 0;
     for (const std::uint32_t len : stats.run_lengths) hist += len;
     EXPECT_EQ(hist, stats.objects_in_runs);
