@@ -340,8 +340,7 @@ bool GenerationalCollector::MinorCollect(rt::Jvm& jvm) {
     }
     flush_gap(young_->end());
     // First-fit, address order; members of one group are bump-packed (none
-    // is large by the heap's rule, so Heap::Place packs them the same way
-    // when MinorEvacuator lays the group out).
+    // is large by the heap's rule, so this is Heap::Place's layout too).
     std::vector<bool> placed(survivors.size(), false);
     for (const YoungSpace::Run& run : candidates) {
       Group g;
@@ -422,21 +421,22 @@ bool GenerationalCollector::MinorCollect(rt::Jvm& jvm) {
   // into contiguous member chunks of roughly (total payload / gang) bytes;
   // the chunks are then dealt to workers greedily by byte load (largest
   // first), so a minor whose copies concentrate in a few groups still
-  // spreads across the whole gang. A chunk's destination base is the
-  // global layout position of its first member, so the per-worker batches
-  // lay out exactly like one monolithic batch — parallel scavengers'
-  // PLABs. Each chunk goes through MinorEvacuator's kMinorBatch path —
-  // Table I row 2, so large tenurees are SwapVA'd, not copied, and swap
-  // requests aggregate per chunk. Each worker runs its own evacuator
-  // (ObjectMover batches are per-call state, not shareable across
-  // threads) and collects relocations locally.
+  // spreads across the whole gang. Every member moves to the destination
+  // the layout step computed, so the per-worker batches lay out exactly
+  // like one monolithic batch — parallel scavengers' PLABs. Each worker
+  // runs its own ObjectMover (batches are per-call state, not shareable
+  // across threads): large tenurees are SwapVA'd, not copied, and swap
+  // requests aggregate per chunk (paper Table I row 2).
   const unsigned num_workers = gc_threads();
   struct EvacTask {
+    // Members [mb, me) of `members`; `offsets` parallels `members` and is
+    // relative to `base`, as is `end`, where the chunk's slice ends.
     const std::vector<std::size_t>* members;
-    std::size_t mb, me;          // member range [mb, me)
-    rt::vaddr_t base;            // destination of member mb
-    std::uint64_t region_bytes;  // chunk's slice of the region
-    std::uint64_t payload;       // survivor bytes (for balancing)
+    const std::vector<std::uint64_t>* offsets;
+    std::size_t mb, me;
+    rt::vaddr_t base;
+    std::uint64_t end;
+    std::uint64_t payload;  // survivor bytes (for balancing)
   };
   std::vector<EvacTask> evac_tasks;
   {
@@ -462,8 +462,7 @@ bool GenerationalCollector::MinorCollect(rt::Jvm& jvm) {
         }
         const std::uint64_t end =
             me < members.size() ? offsets[me] : region_bytes;
-        evac_tasks.push_back({&members, mb, me, base + offsets[mb],
-                              end - offsets[mb], payload});
+        evac_tasks.push_back({&members, &offsets, mb, me, base, end, payload});
         mb = me;
       }
     };
@@ -490,34 +489,32 @@ bool GenerationalCollector::MinorCollect(rt::Jvm& jvm) {
       num_workers);
   std::vector<MoveObjectStats> worker_move_stats(num_workers);
   rec.compact = RunParallelPhase([&](unsigned worker, sim::CpuContext& ctx) {
-    MinorEvacuator evac(jvm, config_.move);
+    ObjectMover mover(jvm, config_.move);
     auto& my_reloc = worker_reloc[worker];
     for (const std::size_t t : worker_tasks[worker]) {
       const EvacTask& task = evac_tasks[t];
-      std::vector<rt::vaddr_t> addrs;
-      addrs.reserve(task.me - task.mb);
-      for (std::size_t k = task.mb; k < task.me; ++k) {
-        addrs.push_back(survivors[(*task.members)[k]].addr);
-      }
       ctx.account.Charge(
           sim::CostKind::kCompute,
-          costs().move_dispatch * static_cast<double>(addrs.size()));
-      const EvacuationResult res =
-          evac.Evacuate(addrs, task.base, EvacuationMode::kMinorBatch, ctx);
-      SVAGC_CHECK(res.relocations.size() == addrs.size());
-      // The evacuator lays objects, it does not filler the gaps; restore
-      // walkability (alignment gaps + region tail slack).
-      rt::vaddr_t cursor = task.base;
-      for (std::size_t k = 0; k < res.relocations.size(); ++k) {
-        const auto& [src, dst] = res.relocations[k];
-        if (dst > cursor) jvm.heap().WriteFiller(cursor, dst - cursor);
-        cursor = dst + survivors[(*task.members)[task.mb + k]].size;
-        my_reloc.emplace_back(src, dst);
+          costs().move_dispatch * static_cast<double>(task.me - task.mb));
+      for (std::size_t k = task.mb; k < task.me; ++k) {
+        const Survivor& s = survivors[(*task.members)[k]];
+        const rt::vaddr_t dst = task.base + (*task.offsets)[k];
+        mover.Move(ctx, s.addr, dst, s.size);
+        my_reloc.emplace_back(s.addr, dst);
       }
-      SVAGC_CHECK(cursor <= task.base + task.region_bytes);
-      jvm.heap().WriteFiller(cursor, task.base + task.region_bytes - cursor);
+      // The mover lays objects, it does not filler the gaps: restore
+      // walkability (alignment gaps + the chunk's tail slack) once the
+      // flush has placed every swapped page.
+      mover.Flush(ctx);
+      rt::vaddr_t cursor = task.base + (*task.offsets)[task.mb];
+      for (std::size_t k = task.mb; k < task.me; ++k) {
+        const rt::vaddr_t dst = task.base + (*task.offsets)[k];
+        if (dst > cursor) jvm.heap().WriteFiller(cursor, dst - cursor);
+        cursor = dst + survivors[(*task.members)[k]].size;
+      }
+      jvm.heap().WriteFiller(cursor, task.base + task.end - cursor);
     }
-    worker_move_stats[worker] = evac.stats();
+    worker_move_stats[worker] = mover.stats();
   });
   std::unordered_map<rt::vaddr_t, rt::vaddr_t> reloc;
   reloc.reserve(survivors.size());

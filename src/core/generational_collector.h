@@ -21,8 +21,9 @@
 //     small zone-resident survivors are copied zone-to-zone into packed
 //     runs carved from the just-died space. Older survivors (and small
 //     stayers nothing can host — "premature tenuring") move to a chunk
-//     carved off the old space through MinorEvacuator's kMinorBatch path,
-//     so large tenurees are SwapVA'd, not copied (paper Table I row 2).
+//     carved off the old space, laid out by the heap's rule and moved by
+//     per-worker ObjectMovers, so large tenurees are SwapVA'd, not copied,
+//     and their swaps aggregate (paper Table I row 2).
 //
 //     Invariant the oracle test leans on: the remembered set is a
 //     *superset* of the old→young edges at all times — entries are added
@@ -54,7 +55,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/minor_copy.h"
+#include "core/move_object.h"
 #include "core/pressure_governor.h"
 #include "core/young_space.h"
 #include "gc/parallel_lisp2.h"

@@ -39,12 +39,12 @@ struct ForwardingResult {
 
 // Algorithm 3's CALCNEWADD for the live object [addr, addr + size): the one
 // step behind ComputeForwarding, each region of ComputeForwardingParallel's
-// install, ConcurrentSvagc's plan walk and OptimizePlan. Places the object
-// at `comp_pnt` by Heap::Place, appends both alignment gaps to `fillers`,
-// writes the object's forwarding slot, files a Move in `plan` when the
-// object moves (always, with `evacuate_all_live`), and advances `comp_pnt`
-// past the placement. Charges nothing; each caller keeps its own charge
-// schedule. Returns the destination.
+// install, the concurrent collector's plan walk and OptimizePlan. Places the
+// object at `comp_pnt` by Heap::Place, appends both alignment gaps to
+// `fillers`, writes the object's forwarding slot, files a Move in `plan`
+// when the object moves (always, with `evacuate_all_live`), and advances
+// `comp_pnt` past the placement. Charges nothing; each caller keeps its own
+// charge schedule. Returns the destination.
 rt::vaddr_t CalcNewAdd(rt::Heap& heap, rt::vaddr_t addr, std::uint64_t size,
                        bool evacuate_all_live, rt::vaddr_t& comp_pnt,
                        CompactionPlan& plan, FillerList& fillers);

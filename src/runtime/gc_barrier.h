@@ -1,8 +1,9 @@
 // GC barrier interface: the seam through which a concurrent collector
 // intercepts mutator heap accesses. The STW collectors install no barrier
 // and every Jvm accessor falls through to the raw address-space operation at
-// zero cost; a concurrent collector (src/gc/concurrent_svagc) implements
-// this interface and is wired in by the tenant factory, giving it:
+// zero cost; a concurrent collector (src/core/concurrent_svagc_collector)
+// implements this interface and is wired in by the tenant factory, giving
+// it:
 //
 //   - a SATB write barrier (WriteRef enqueues the overwritten value while
 //     marking is concurrent),

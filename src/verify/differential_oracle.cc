@@ -76,12 +76,12 @@ std::unique_ptr<rt::CollectorIface> MakeArmCollector(
     const OracleConfig& config, sim::Machine& machine, bool use_swapva) {
   if (config.concurrent) {
     SVAGC_CHECK(!config.drop_move);  // drop_move is an STW-arm self-test
-    core::ConcurrentSvagcCoreConfig concurrent;
+    core::ConcurrentSvagcConfig concurrent;
     concurrent.move.threshold_pages = config.swap_threshold_pages;
     concurrent.move.use_swapva = use_swapva;
     concurrent.move.pmd_swapping = config.huge_threshold_pages != 0;
     return std::make_unique<core::ConcurrentSvagcCollector>(
-        machine, config.gc_threads, /*first_core=*/0, concurrent);
+        machine, /*first_core=*/0, concurrent);
   }
   core::SvagcConfig svagc;
   svagc.move.threshold_pages = config.swap_threshold_pages;

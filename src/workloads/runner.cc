@@ -66,17 +66,13 @@ std::unique_ptr<gc::CollectorBase> MakeCollector(CollectorKind kind,
     // The concurrent collector owns the barrier slot, so it never sits
     // behind the generational front end.
     SVAGC_CHECK(!config.generational.enabled);
-    core::ConcurrentSvagcCoreConfig concurrent;
+    core::ConcurrentSvagcConfig concurrent;
     concurrent.move.threshold_pages = config.swap_threshold_pages;
-    // Charge swap syscalls inside the move that issues them, not in a
-    // window-end batch flush: the per-move budget check must see the true
-    // accrued cost or a window can silently overrun its quantum.
-    concurrent.move.aggregate = false;
     if (config.concurrent_quantum_cycles > 0) {
-      concurrent.concurrent.quantum_cycles = config.concurrent_quantum_cycles;
+      concurrent.quantum_cycles = config.concurrent_quantum_cycles;
     }
     return std::make_unique<core::ConcurrentSvagcCollector>(
-        machine, config.gc_threads, first_core, concurrent);
+        machine, first_core, concurrent);
   }
 
   std::unique_ptr<gc::ParallelLisp2> lisp2 =

@@ -24,7 +24,8 @@ enum class CollectorKind {
   kSvagcNoSwap,      // SVAGC layout but memmove-only (Fig. 11 left bars)
   kSvagcNaiveTlb,    // SwapVA with per-call global shootdowns (Fig. 9 naive)
   kConcurrentSvagc,  // mutator-concurrent SVAGC (SATB mark + incremental
-                     // SwapVA evacuation; see src/gc/concurrent_svagc.h)
+                     // SwapVA evacuation; see
+                     // src/core/concurrent_svagc_collector.h)
   kParallelGc,       // ParallelGC-like baseline (plain ParallelLisp2)
   kShenandoah,       // Shenandoah-like baseline
   kSerialLisp2,      // serial LISP2 prototype (one-worker ParallelLisp2,
@@ -47,12 +48,13 @@ struct RunConfig {
   // HotSpot picks ~5/8 of the cores for ParallelGCThreads on big machines;
   // 16 on the 32-core testbed. The multi-JVM experiments override this to 4
   // per JVM as the paper does (Fig. 2 caption: GCThreadsCount = 4).
+  // kConcurrentSvagc ignores it: that collector runs on one worker.
   unsigned gc_threads = 16;
   unsigned iterations = 0;   // 0 = workload default
   unsigned machine_cores = 32;
   std::uint64_t swap_threshold_pages = 10;
   // kConcurrentSvagc only: per-[STW]-window work budget in modeled cycles.
-  // 0 keeps gc::ConcurrentSvagcConfig's default. fig22 sweeps pause bounds
+  // 0 keeps core::ConcurrentSvagcConfig's default. fig22 sweeps pause bounds
   // through this without constructing collectors by hand.
   double concurrent_quantum_cycles = 0;
   // Phase II / phase IV strategy knobs (fig17 sweeps these; the defaults

@@ -143,10 +143,10 @@ TEST(ConcurrentSchedule, HarnessExercisesBarrierAndSatb) {
   ScheduleShape shape = SmallDense();
   shape.ops = 800;
   shape.begin_prob = 0.15;
-  core::ConcurrentSvagcCoreConfig config;
+  core::ConcurrentSvagcConfig config;
   // A small quantum stretches the marking phase across many mutator ops, so
   // barriered overwrites land while SATB is on.
-  config.concurrent.quantum_cycles = 30000;
+  config.quantum_cycles = 30000;
   const auto ops = GenerateOps(shape, 7);
   ScheduleDriver driver(shape, config);
   const ScheduleRunResult result = driver.RunConcurrent(ops, 7);
@@ -164,26 +164,25 @@ TEST(ConcurrentSchedule, HarnessExercisesBarrierAndSatb) {
 
 // Every evacuation [STW] window stops within one indivisible work item of
 // the quantum budget, plus the window's bounded prologue/epilogue (pin, one
-// TLB shootdown round, batch flush) — none of which scale with heap size.
+// TLB shootdown round, unpin) — none of which scale with heap size.
 TEST(ConcurrentPause, EvacWindowsRespectQuantumBudget) {
   ScheduleShape shape = LargeMix();
   shape.ops = 400;
   shape.begin_prob = 0.12;
-  core::ConcurrentSvagcCoreConfig config;
-  config.concurrent.quantum_cycles = 60000;  // small budget => many windows
+  core::ConcurrentSvagcConfig config;
+  config.quantum_cycles = 60000;  // small budget => many windows
   const auto ops = GenerateOps(shape, 11);
   ScheduleDriver driver(shape, config);
   driver.RunConcurrent(ops, 11);
 
   const auto& windows = driver.collector().stw_windows();
   const double slack = 2 * driver.collector().max_single_step_cycles();
-  constexpr double kWindowOverhead = 50000;  // pin + shootdown + flush, O(1)
+  constexpr double kWindowOverhead = 50000;  // pin + shootdown + unpin, O(1)
   unsigned evac_windows = 0;
-  for (const gc::StwWindow& w : windows) {
-    if (w.phase != gc::ConcPhase::kEvacuate) continue;
+  for (const core::StwWindow& w : windows) {
+    if (w.phase != core::ConcPhase::kEvacuate) continue;
     ++evac_windows;
-    EXPECT_LE(w.cycles, config.concurrent.quantum_cycles + slack +
-                            kWindowOverhead)
+    EXPECT_LE(w.cycles, config.quantum_cycles + slack + kWindowOverhead)
         << "evacuation window " << evac_windows << " blew the budget";
   }
   // Non-vacuous: the schedule really did split evacuation across windows.
@@ -198,8 +197,8 @@ TEST(ConcurrentPause, FlipWindowIsConstant) {
   ScheduleDriver driver(shape);
   driver.RunConcurrent(ops, 3);
   unsigned flips = 0;
-  for (const gc::StwWindow& w : driver.collector().stw_windows()) {
-    if (w.phase != gc::ConcPhase::kFinalize) continue;
+  for (const core::StwWindow& w : driver.collector().stw_windows()) {
+    if (w.phase != core::ConcPhase::kFinalize) continue;
     ++flips;
     EXPECT_LT(w.cycles, 5000.0);
   }
@@ -216,10 +215,10 @@ double RemarkCycles(unsigned chain, unsigned writes) {
   rt::JvmConfig jvm_config;
   jvm_config.heap.capacity = 32ULL << 20;
   rt::Jvm jvm(sim.machine, sim.phys, sim.kernel, jvm_config);
-  core::ConcurrentSvagcCoreConfig config;
-  config.concurrent.satb_buffer_capacity = 1u << 20;
+  core::ConcurrentSvagcConfig config;
+  config.satb_buffer_capacity = 1u << 20;
   auto owned = std::make_unique<core::ConcurrentSvagcCollector>(
-      sim.machine, /*gc_threads=*/2, /*first_core=*/0, config);
+      sim.machine, /*first_core=*/0, config);
   core::ConcurrentSvagcCollector* collector = owned.get();
   jvm.set_collector(std::move(owned));
   jvm.set_gc_barrier(collector);
@@ -237,8 +236,8 @@ double RemarkCycles(unsigned chain, unsigned writes) {
   // Drive concurrent marking to completion; the phase advances to kRemark
   // only once the stack and handoffs are drained, and remark itself runs on
   // the *next* quantum — SATB is still on in the gap.
-  while (collector->phase() == gc::ConcPhase::kMark) collector->StepPhase();
-  EXPECT_EQ(collector->phase(), gc::ConcPhase::kRemark);
+  while (collector->phase() == core::ConcPhase::kMark) collector->StepPhase();
+  EXPECT_EQ(collector->phase(), core::ConcPhase::kRemark);
   // Barriered stores: every write enqueues the (already-marked) overwritten
   // target, so remark pays the per-entry drain charge and nothing else.
   for (unsigned w = 0; w < writes; ++w) {
@@ -250,8 +249,8 @@ double RemarkCycles(unsigned chain, unsigned writes) {
   EXPECT_EQ(collector->satb_enqueued(), writes);
   EXPECT_EQ(collector->remark_drained(), writes);
 
-  for (const gc::StwWindow& w : collector->stw_windows()) {
-    if (w.phase == gc::ConcPhase::kRemark) return w.cycles;
+  for (const core::StwWindow& w : collector->stw_windows()) {
+    if (w.phase == core::ConcPhase::kRemark) return w.cycles;
   }
   ADD_FAILURE() << "no remark window recorded";
   return 0;

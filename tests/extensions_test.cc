@@ -1,15 +1,19 @@
 // Tests for the paper-grounded extensions: the scrub-after-swap security
-// option (§III-B), the minor/concurrent evacuation primitive (Table I rows
-// 2-3), and physical write-traffic accounting (§VI, NVM wear).
+// option (§III-B), minor and concurrent evacuation through the production
+// collectors (Table I rows 2-3), and physical write-traffic accounting (§VI,
+// NVM wear).
 #include <gtest/gtest.h>
 
-#include "core/minor_copy.h"
+#include "core/concurrent_svagc_collector.h"
+#include "core/generational_collector.h"
+#include "core/svagc_collector.h"
 #include "simkernel/swapva.h"
 #include "tests/test_util.h"
 
 namespace svagc {
 namespace {
 
+using svagc::testing::ChecksumReachable;
 using svagc::testing::SimBundle;
 
 // --- scrub_source -------------------------------------------------------------
@@ -58,6 +62,9 @@ TEST(ScrubOption, OffByDefaultPreservesSwapSemantics) {
 
 // --- minor / concurrent evacuation ---------------------------------------------
 
+// Table I rows 2-3 through the production collectors: the generational
+// front end's tenure batch (minor copying, aggregation applies) and
+// concurrent SVAGC's evacuation windows (one independent call per object).
 class EvacuationTest : public ::testing::Test {
  protected:
   EvacuationTest() {
@@ -65,17 +72,36 @@ class EvacuationTest : public ::testing::Test {
     config.heap.capacity = 8 << 20;
     jvm_ = std::make_unique<rt::Jvm>(sim_.machine, sim_.phys, sim_.kernel,
                                      config);
-    // Destination space, disjoint from the heap.
-    to_space_ = jvm_->heap().end() + (1ULL << 24);
-    jvm_->address_space().MapRange(to_space_, 4 << 20);
   }
 
-  ~EvacuationTest() override {
-    jvm_->address_space().UnmapRange(to_space_, 4 << 20);
+  // Row 2: a nursery whose first minor collection tenures every survivor.
+  core::GenerationalCollector& UseGenerational() {
+    core::GenerationalConfig gen;
+    gen.tenure_age = 1;
+    auto inner = std::make_unique<core::SvagcCollector>(
+        sim_.machine, /*gc_threads=*/1, /*first_core=*/0, core::SvagcConfig{});
+    auto owned = std::make_unique<core::GenerationalCollector>(
+        sim_.machine, /*first_core=*/0, std::move(inner), gen);
+    core::GenerationalCollector& front = *owned;
+    jvm_->set_collector(std::move(owned));
+    jvm_->set_gc_barrier(&front);
+    jvm_->set_alloc_front_end(&front);
+    return front;
   }
 
-  std::vector<rt::vaddr_t> MakeSurvivors() {
-    std::vector<rt::vaddr_t> survivors;
+  // Row 3: concurrent SVAGC built from a default config.
+  core::ConcurrentSvagcCollector& UseConcurrent() {
+    auto owned = std::make_unique<core::ConcurrentSvagcCollector>(
+        sim_.machine, /*first_core=*/0);
+    core::ConcurrentSvagcCollector& collector = *owned;
+    jvm_->set_collector(std::move(owned));
+    jvm_->set_gc_barrier(&collector);
+    return collector;
+  }
+
+  // Six rooted survivors, alternating large (swappable) and small, each
+  // payload stamped with its index.
+  void MakeSurvivors() {
     for (int i = 0; i < 6; ++i) {
       const bool large = i % 2 == 0;
       const rt::vaddr_t obj =
@@ -84,79 +110,74 @@ class EvacuationTest : public ::testing::Test {
       for (std::uint64_t w = 0; w < view.data_words(); w += 64) {
         view.set_data_word(w, 0xE0 + i);
       }
-      survivors.push_back(obj);
+      jvm_->roots().Add(obj);
     }
-    return survivors;
+  }
+
+  // Data integrity at the survivors' current addresses.
+  void ExpectSurvivorsIntact() {
+    jvm_->roots().ForEachSlot([&](rt::vaddr_t& obj) {
+      rt::ObjectView view = jvm_->View(obj);
+      for (std::uint64_t w = 0; w < view.data_words(); w += 64) {
+        EXPECT_EQ(view.data_word(w) & 0xF0, 0xE0u) << w;
+      }
+      if (view.size() >= 10 * sim::kPageSize) {
+        EXPECT_TRUE(IsAligned(obj, sim::kPageSize));
+      }
+    });
+  }
+
+  static std::uint64_t Counter(const gc::CollectorBase& collector,
+                               const char* name) {
+    return collector.metrics().CounterValue(name);
   }
 
   SimBundle sim_{4, 128ULL << 20};
   std::unique_ptr<rt::Jvm> jvm_;
-  rt::vaddr_t to_space_ = 0;
 };
 
 TEST_F(EvacuationTest, MinorBatchEvacuatesWithSwaps) {
-  const auto survivors = MakeSurvivors();
-  core::MoveObjectConfig config;
-  core::MinorEvacuator evacuator(*jvm_, config);
-  sim::CpuContext ctx(sim_.machine, 0);
-  const core::EvacuationResult result =
-      evacuator.Evacuate(survivors, to_space_, core::EvacuationMode::kMinorBatch,
-                         ctx);
-  EXPECT_EQ(result.objects, survivors.size());
-  // Data integrity at the new addresses.
-  for (const auto& [src, dst] : result.relocations) {
-    rt::ObjectView view = jvm_->View(dst);
-    EXPECT_EQ(view.size(), jvm_->View(dst).size());
-    EXPECT_GE(dst, to_space_);
-    for (std::uint64_t w = 0; w < view.data_words(); w += 64) {
-      EXPECT_TRUE((view.data_word(w) & 0xF0) == 0xE0) << w;
-    }
-    if (view.size() >= 10 * sim::kPageSize) {
-      EXPECT_TRUE(IsAligned(dst, sim::kPageSize));
-    }
-  }
+  core::GenerationalCollector& front = UseGenerational();
+  MakeSurvivors();
+  ASSERT_TRUE(front.MinorCollect(*jvm_));
+  EXPECT_EQ(front.last_minor().tenured, 6u);
+  ExpectSurvivorsIntact();
   // Large survivors swapped, small ones copied (Table I row 2: SwapVA
   // applies to minor copying).
-  EXPECT_EQ(evacuator.stats().objects_swapped, 3u);
-  EXPECT_EQ(evacuator.stats().objects_copied, 3u);
+  EXPECT_EQ(Counter(front, "gc.objects_swapped"), 3u);
+  EXPECT_EQ(Counter(front, "gc.objects_copied"), 3u);
   // Aggregation applies: far fewer syscalls than swapped objects would need
   // individually is allowed; at most one per flush boundary.
-  EXPECT_LE(evacuator.stats().swap_calls_issued, 3u);
+  EXPECT_LE(Counter(front, "gc.swap_calls"), 3u);
 }
 
 TEST_F(EvacuationTest, ConcurrentModeDisablesAggregationBenefit) {
-  const auto survivors = MakeSurvivors();
-  core::MoveObjectConfig config;
-  core::MinorEvacuator evacuator(*jvm_, config);
-  sim::CpuContext ctx(sim_.machine, 0);
-  (void)evacuator.Evacuate(survivors, to_space_,
-                           core::EvacuationMode::kConcurrentSolo, ctx);
-  // One call per swapped object: Table I row 3 — aggregation not applicable.
-  EXPECT_EQ(evacuator.stats().swap_calls_issued, 3u);
+  core::ConcurrentSvagcCollector& collector = UseConcurrent();
+  jvm_->New(1, 0, 12 * sim::kPageSize);  // garbage: every survivor slides
+  MakeSurvivors();
+  collector.Collect(*jvm_);
+  ExpectSurvivorsIntact();
+  // One call per swapped object from a default config: Table I row 3 —
+  // aggregation not applicable.
+  EXPECT_EQ(Counter(collector, "gc.objects_swapped"), 3u);
+  EXPECT_EQ(Counter(collector, "gc.swap_calls"),
+            Counter(collector, "gc.objects_swapped"));
 }
 
 TEST_F(EvacuationTest, ModesProduceIdenticalData) {
-  const auto survivors = MakeSurvivors();
-  core::MoveObjectConfig config;
-  sim::CpuContext ctx(sim_.machine, 0);
-  core::MinorEvacuator batch(*jvm_, config);
-  const auto batch_result = batch.Evacuate(
-      survivors, to_space_, core::EvacuationMode::kMinorBatch, ctx);
-  // Evacuate back (round trip) with the solo mode.
-  std::vector<rt::vaddr_t> relocated;
-  for (const auto& [src, dst] : batch_result.relocations) {
-    relocated.push_back(dst);
-  }
-  // Round trip must land within the original young region footprint.
-  core::MinorEvacuator solo(*jvm_, config);
-  const auto back = solo.Evacuate(relocated, jvm_->heap().base(),
-                                  core::EvacuationMode::kConcurrentSolo, ctx);
-  for (const auto& [src, dst] : back.relocations) {
-    rt::ObjectView view = jvm_->View(dst);
-    for (std::uint64_t w = 0; w < view.data_words(); w += 64) {
-      EXPECT_EQ(view.data_word(w) & 0xF0, 0xE0u);
-    }
-  }
+  core::GenerationalCollector& front = UseGenerational();
+  MakeSurvivors();
+  const std::uint64_t before = ChecksumReachable(*jvm_);
+  // The minor batch tenures the survivors...
+  ASSERT_TRUE(front.MinorCollect(*jvm_));
+  ExpectSurvivorsIntact();
+  EXPECT_EQ(ChecksumReachable(*jvm_), before);
+  // ...then a concurrent cycle slides them down over the dead nursery.
+  core::ConcurrentSvagcCollector& collector = UseConcurrent();
+  collector.Collect(*jvm_);
+  EXPECT_EQ(Counter(collector, "gc.objects_swapped"), 3u);
+  ExpectSurvivorsIntact();
+  EXPECT_EQ(ChecksumReachable(*jvm_), before);
 }
 
 // --- NVM write accounting -------------------------------------------------------

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/concurrent_svagc_collector.h"
-#include "core/minor_copy.h"
 #include "core/svagc_collector.h"
 #include "fleet/fleet_runner.h"
 #include "tests/test_util.h"
@@ -21,6 +20,7 @@ namespace svagc {
 namespace {
 
 using svagc::testing::ChecksumReachable;
+using svagc::testing::MoveToSpace;
 using svagc::testing::SimBundle;
 
 constexpr std::uint64_t kLargePages = 16;
@@ -171,22 +171,22 @@ TEST_F(FaultInjectionTest, ObjectMoverRecoversFromMidVectorFault) {
   std::vector<rt::vaddr_t> survivors;
   for (std::uint64_t i = 0; i < 4; ++i) survivors.push_back(NewLarge(jvm, i));
 
-  core::MinorEvacuator evacuator(jvm, core::MoveObjectConfig{});
+  core::ObjectMover mover(jvm, core::MoveObjectConfig{});
   sim::CpuContext ctx(sim.machine, 0);
   verify::ScopedInjection hook(sim.kernel, injector_);
   injector_.Arm(sim::FaultPoint::kSwapVaFault, {.first = 2});
-  const auto result = evacuator.Evacuate(
-      survivors, to_space, core::EvacuationMode::kMinorBatch, ctx);
+  const std::vector<rt::vaddr_t> destinations =
+      MoveToSpace(jvm, mover, ctx, survivors, to_space);
 
   // The mover swapped the completed prefix and finished the rest by copy —
   // no move was lost.
-  const core::MoveObjectStats& stats = evacuator.stats();
+  const core::MoveObjectStats& stats = mover.stats();
   EXPECT_EQ(stats.swap_faults_recovered, 1u);
   EXPECT_EQ(stats.objects_swapped, 2u);
   EXPECT_EQ(stats.objects_copied, 2u);
-  ASSERT_EQ(result.relocations.size(), 4u);
+  ASSERT_EQ(destinations.size(), 4u);
   std::uint64_t tag = 0;
-  for (const auto& [src, dst] : result.relocations) {
+  for (const rt::vaddr_t dst : destinations) {
     rt::ObjectView view = jvm.View(dst);
     ASSERT_EQ(view.size(), rt::ObjectBytes(0, kLargeData));
     for (std::uint64_t w = 0; w < view.data_words(); w += 101) {
@@ -317,24 +317,24 @@ TEST_F(FaultInjectionTest, ObjectMoverRecoversFromPinLoss) {
   std::vector<rt::vaddr_t> survivors;
   for (std::uint64_t i = 0; i < 4; ++i) survivors.push_back(NewLarge(jvm, i));
 
-  core::MinorEvacuator evacuator(jvm, core::MoveObjectConfig{});
+  core::ObjectMover mover(jvm, core::MoveObjectConfig{});
   sim::CpuContext ctx(sim.machine, 0);
   ASSERT_EQ(sim.kernel.SysPin(ctx), sim::SysStatus::kOk);
 
   verify::ScopedInjection hook(sim.kernel, injector_);
   injector_.Arm(sim::FaultPoint::kForceUnpin, {.first = 0});
-  const auto result = evacuator.Evacuate(
-      survivors, to_space, core::EvacuationMode::kMinorBatch, ctx);
+  const std::vector<rt::vaddr_t> destinations =
+      MoveToSpace(jvm, mover, ctx, survivors, to_space);
 
   // The first aggregated call lost its pin; the mover re-pinned, re-flushed
   // and retried — all four objects still went through SwapVA.
-  const core::MoveObjectStats& stats = evacuator.stats();
+  const core::MoveObjectStats& stats = mover.stats();
   EXPECT_EQ(stats.pin_losses_recovered, 1u);
   EXPECT_EQ(stats.swap_faults_recovered, 0u);
   EXPECT_EQ(stats.objects_swapped, 4u);
-  ASSERT_EQ(result.relocations.size(), 4u);
+  ASSERT_EQ(destinations.size(), 4u);
   std::uint64_t tag = 0;
-  for (const auto& [src, dst] : result.relocations) {
+  for (const rt::vaddr_t dst : destinations) {
     rt::ObjectView view = jvm.View(dst);
     for (std::uint64_t w = 0; w < view.data_words(); w += 101) {
       ASSERT_EQ(view.data_word(w), tag * 1000003 + w) << "object " << tag;
@@ -539,16 +539,13 @@ class ConcurrentFaultRig {
     config.gc_threads = 2;
     jvm_ = std::make_unique<rt::Jvm>(sim_.machine, sim_.phys, sim_.kernel,
                                      config);
-    core::ConcurrentSvagcCoreConfig cc;
+    core::ConcurrentSvagcConfig cc;
     // Small enough that one window holds only a couple of large-object
     // moves (a SwapVA move is just page-table relinks — a few thousand
-    // cycles), so the cycle takes several evacuation windows. Aggregation
-    // off so each move's syscall is charged inline, where the window budget
-    // can see it.
-    cc.concurrent.quantum_cycles = 2500;
-    cc.move.aggregate = false;
+    // cycles), so the cycle takes several evacuation windows.
+    cc.quantum_cycles = 2500;
     auto owned = std::make_unique<core::ConcurrentSvagcCollector>(
-        sim_.machine, /*gc_threads=*/2, /*first_core=*/0, cc);
+        sim_.machine, /*first_core=*/0, cc);
     collector_ = owned.get();
     jvm_->set_collector(std::move(owned));
     jvm_->set_gc_barrier(collector_);
@@ -583,8 +580,8 @@ class ConcurrentFaultRig {
 
   unsigned EvacWindows() const {
     unsigned n = 0;
-    for (const gc::StwWindow& w : collector_->stw_windows()) {
-      if (w.phase == gc::ConcPhase::kEvacuate) ++n;
+    for (const core::StwWindow& w : collector_->stw_windows()) {
+      if (w.phase == core::ConcPhase::kEvacuate) ++n;
     }
     return n;
   }

@@ -8,7 +8,6 @@
 #include <map>
 #include <thread>
 
-#include "core/minor_copy.h"
 #include "simkernel/page_table.h"
 #include "simkernel/swapva.h"
 #include "support/rng.h"
@@ -18,6 +17,7 @@
 namespace svagc {
 namespace {
 
+using svagc::testing::MoveToSpace;
 using svagc::testing::SimBundle;
 
 // Randomized map/unmap sequences against a host-side reference map: the
@@ -107,12 +107,11 @@ TEST_P(EvacuationSizeSweep, RoundTripsAnyObjectSize) {
     survivors.push_back(obj);
   }
   core::MoveObjectConfig move_config;
-  core::MinorEvacuator evacuator(jvm, move_config);
+  core::ObjectMover mover(jvm, move_config);
   sim::CpuContext ctx(sim.machine, 0);
-  const auto result = evacuator.Evacuate(
-      survivors, to_space, core::EvacuationMode::kMinorBatch, ctx);
   int i = 0;
-  for (const auto& [src, dst] : result.relocations) {
+  for (const rt::vaddr_t dst :
+       MoveToSpace(jvm, mover, ctx, survivors, to_space)) {
     rt::ObjectView view = jvm.View(dst);
     ASSERT_EQ(view.size(), rt::ObjectBytes(0, data_bytes));
     for (std::uint64_t w = 0; w < view.data_words(); w += 7) {
@@ -123,7 +122,7 @@ TEST_P(EvacuationSizeSweep, RoundTripsAnyObjectSize) {
   const std::uint64_t object_bytes = rt::ObjectBytes(0, data_bytes);
   const bool expect_swapped =
       object_bytes >= move_config.threshold_pages * sim::kPageSize;
-  EXPECT_EQ(evacuator.stats().objects_swapped, expect_swapped ? 4u : 0u)
+  EXPECT_EQ(mover.stats().objects_swapped, expect_swapped ? 4u : 0u)
       << data_bytes;
   jvm.address_space().UnmapRange(to_space, 64ULL << 20);
 }

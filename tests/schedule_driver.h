@@ -210,7 +210,7 @@ constexpr std::uint32_t kScheduleTypeId = 77;
 class ScheduleDriver {
  public:
   ScheduleDriver(const ScheduleShape& shape,
-                 const core::ConcurrentSvagcCoreConfig& config = {})
+                 const core::ConcurrentSvagcConfig& config = {})
       : shape_(shape), sim_(4, shape.heap_bytes + (64ULL << 20)) {
     rt::JvmConfig jvm_config;
     jvm_config.heap.capacity = shape.heap_bytes;
@@ -221,7 +221,7 @@ class ScheduleDriver {
     jvm_ = std::make_unique<rt::Jvm>(sim_.machine, sim_.phys, sim_.kernel,
                                      jvm_config);
     auto owned = std::make_unique<core::ConcurrentSvagcCollector>(
-        sim_.machine, /*gc_threads=*/2, /*first_core=*/0, config);
+        sim_.machine, /*first_core=*/0, config);
     collector_ = owned.get();
     jvm_->set_collector(std::move(owned));
     jvm_->set_gc_barrier(collector_);
@@ -296,8 +296,8 @@ class ScheduleDriver {
     const rt::vaddr_t name =
         jvm_->New(kScheduleTypeId, num_refs, data_words * 8);
     if (awaiting_satb_check_ &&
-        (collector_->phase() == gc::ConcPhase::kMark ||
-         collector_->phase() == gc::ConcPhase::kRemark)) {
+        (collector_->phase() == core::ConcPhase::kMark ||
+         collector_->phase() == core::ConcPhase::kRemark)) {
       // Allocated while the SATB barrier is on: allocate-black makes it part
       // of this cycle's mark set.
       ++satb_alloc_count_;
@@ -415,8 +415,9 @@ class ScheduleDriver {
   // marking + the remark drain must mark exactly the snapshot-reachable set
   // plus the allocated-black objects — nothing lost (correctness), nothing
   // beyond floating garbage the shadow also saw as reachable (precision).
-  void CheckSatbIfRemarkRan(gc::ConcPhase before, gc::ConcPhase after) {
-    if (before != gc::ConcPhase::kRemark || after == gc::ConcPhase::kRemark) {
+  void CheckSatbIfRemarkRan(core::ConcPhase before, core::ConcPhase after) {
+    if (before != core::ConcPhase::kRemark ||
+        after == core::ConcPhase::kRemark) {
       return;
     }
     // The collector's SATB counter is per-cycle; fold it into the run total
@@ -432,7 +433,7 @@ class ScheduleDriver {
   }
 
   void StepOnce() {
-    const gc::ConcPhase before = collector_->phase();
+    const core::ConcPhase before = collector_->phase();
     collector_->StepPhase();
     CheckSatbIfRemarkRan(before, collector_->phase());
   }

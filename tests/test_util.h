@@ -5,6 +5,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/move_object.h"
 #include "runtime/jvm.h"
 #include "simkernel/swapva.h"
 
@@ -57,6 +58,25 @@ inline std::uint64_t ChecksumReachable(rt::Jvm& jvm) {
     }
   }
   return hash;
+}
+
+// Moves `objects` through `mover` into the space starting at `to_space`,
+// laid out in input order by the heap's rule (rt::Heap::Place), then
+// flushes the mover. Returns each object's destination, in input order.
+inline std::vector<rt::vaddr_t> MoveToSpace(
+    rt::Jvm& jvm, core::ObjectMover& mover, sim::CpuContext& ctx,
+    const std::vector<rt::vaddr_t>& objects, rt::vaddr_t to_space) {
+  std::vector<rt::vaddr_t> destinations;
+  rt::vaddr_t top = to_space;
+  for (const rt::vaddr_t src : objects) {
+    const std::uint64_t size = jvm.View(src).size();
+    const rt::Heap::Placement place = jvm.heap().Place(size, top);
+    mover.Move(ctx, src, place.dst, size);
+    destinations.push_back(place.dst);
+    top = place.next;
+  }
+  mover.Flush(ctx);
+  return destinations;
 }
 
 }  // namespace svagc::testing
