@@ -30,8 +30,9 @@ int main() {
          Format("%.1f", move.physical_bytes_written / 1048576.0),
          Format("%.1f", swap.physical_bytes_written / 1048576.0),
          bench::Pct(reduction),
-         Format("%.2fx", static_cast<double>(move.physical_bytes_written) /
-                             static_cast<double>(swap.physical_bytes_written))});
+         Format("%.2fx",
+                static_cast<double>(move.physical_bytes_written) /
+                    static_cast<double>(swap.physical_bytes_written))});
   }
   bench::Emit("ablation_nvm_wear", table);
   std::printf(

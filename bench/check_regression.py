@@ -1,196 +1,233 @@
 #!/usr/bin/env python3
-"""Bench-regression gate: modeled-cycle columns vs a checked-in baseline.
+"""Bench gate: every table cell and trace event count vs a checked-in baseline.
 
-Runs the named bench harnesses in smoke+JSON mode (the same configuration the
-bench_smoke ctest validates), extracts every numeric cell from columns whose
-header names a cycle/time quantity, and compares each against
-BENCH_baseline.json with a relative tolerance (default +/-15%). Modeled
-cycles are deterministic and host-independent, so the tolerance exists only
-to absorb deliberate cost-profile recalibrations; anything larger is a real
-regression (or a real improvement) and must be re-baselined on purpose.
+Runs each named harness once in smoke mode, with SVAGC_BENCH_SMOKE=1,
+SVAGC_BENCH_JSON=1 and SVAGC_TRACE_OUT=<bench-dir>/<name>.trace.json and no
+other SVAGC_* variable. A harness fails the gate when it exits non-zero,
+prints a `{` line that is not a strict JSON table, prints no table, prints a
+cell that reads as inf or nan, or writes a trace that is not the shape
+telemetry::TraceToJson emits. Every table is then compared exactly with the
+harness's entry in the baseline, {"tables": [...], "trace_events": N}: the
+numbers are modeled cycles, deterministic on every host, so any change is a
+real one. The gate leaves <name>.tables.json (the entry it compared) and
+<name>.trace.json next to each binary.
 
-Two rebaseline modes:
+When a change moves a harness's output on purpose, re-record that harness
+and say why in CHANGES.md:
 
-    # Merge: refresh only the named benches, keep every other baseline
-    # entry byte-identical (the usual case -- one bench changed).
     python3 bench/check_regression.py --baseline bench/BENCH_baseline.json \
         --bench-dir build/bench --update-baseline fig19_plan_optimizer
-
-    # Overwrite: regenerate the whole file from the named benches (use when
-    # recalibrating the cost profile, which moves every column at once).
-    python3 bench/check_regression.py --baseline bench/BENCH_baseline.json \
-        --bench-dir build/bench --rebaseline fig01_phase_breakdown ...
-
-Either way, commit the updated BENCH_baseline.json with an explanation.
 """
 
 import argparse
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
-# A column participates in the gate when its header mentions one of these
-# (case-insensitive): "cyc(k)", "kcyc", "ms", "cycles".
-CYCLE_TOKENS = ("cyc", "ms", "cycles")
+TABLE_KEYS = {"id", "headers", "rows"}
+DOC_KEYS = {"displayTimeUnit", "otherData", "traceEvents"}
+EVENT_KEYS = {"name", "cat", "ph", "pid", "tid", "ts", "dur"}
+# A unit a harness may print after a number: "1.5x", "42.0%", "3 ms".
+UNIT_SUFFIX = re.compile(r"(x|%|\s+[A-Za-z/()]+)$")
 
 
-def is_cycle_column(header):
-    h = header.lower()
-    return any(tok in h for tok in CYCLE_TOKENS)
+class GateError(Exception):
+    pass
 
 
-def parse_number(cell):
-    """Returns float value of a purely numeric cell, else None."""
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_loads(text):
+    """json.loads without NaN/Infinity; trailing data is already an error."""
+    return json.loads(text, parse_constant=reject_constant)
+
+
+def is_non_finite(cell):
     try:
-        return float(cell)
+        return not math.isfinite(float(UNIT_SUFFIX.sub("", str(cell))))
     except ValueError:
-        return None
+        return False
 
 
-def row_key(row):
-    """A row is keyed by its leading run of non-numeric label cells: the
-    sweep variable plus any qualifier columns (a bench arm, a phase class).
-    Tables whose rows carry a single label column keep their old first-cell
-    key; tables that sweep a cross product stay unambiguous."""
-    parts = [row[0]]
-    for cell in row[1:]:
-        if parse_number(cell) is not None:
-            break
-        parts.append(cell)
-    return " | ".join(parts)
-
-
-def run_bench(bench_dir, name):
-    env = dict(os.environ)
-    env["SVAGC_BENCH_SMOKE"] = "1"
-    env["SVAGC_BENCH_JSON"] = "1"
-    path = os.path.join(bench_dir, name)
-    proc = subprocess.run(
-        [path], env=env, capture_output=True, text=True, timeout=600
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"{name} exited {proc.returncode}:\n{proc.stdout}{proc.stderr}"
-        )
+def parse_tables(stdout):
     tables = []
-    for line in proc.stdout.splitlines():
+    for n, line in enumerate(stdout.splitlines(), 1):
         if not line.startswith("{"):
             continue
-        table = json.loads(line)
-        if "id" in table and "headers" in table and "rows" in table:
-            tables.append(table)
+        try:
+            table = strict_loads(line)
+        except ValueError as e:
+            raise GateError(f"stdout line {n} is not strict JSON: {e}")
+        if not isinstance(table, dict) or not TABLE_KEYS <= table.keys():
+            raise GateError(f"stdout line {n} is not a table: {line}")
+        for row in table["rows"]:
+            for cell in row:
+                if is_non_finite(cell):
+                    raise GateError(
+                        f"table '{table['id']}' row {row}: "
+                        f"non-finite cell '{cell}'"
+                    )
+        tables.append(table)
     if not tables:
-        raise RuntimeError(f"{name} emitted no JSON tables")
+        raise GateError("printed no JSON table")
     return tables
 
 
-def compare(name, baseline_tables, current_tables, tolerance, failures):
-    base_by_id = {t["id"]: t for t in baseline_tables}
-    cur_by_id = {t["id"]: t for t in current_tables}
-    for table_id, base in base_by_id.items():
-        cur = cur_by_id.get(table_id)
-        if cur is None:
-            failures.append(f"{name}: table '{table_id}' missing from output")
-            continue
-        if cur["headers"] != base["headers"]:
-            failures.append(
-                f"{name}/{table_id}: headers changed "
-                f"{base['headers']} -> {cur['headers']} (re-baseline needed)"
-            )
-            continue
-        cur_rows = {row_key(row): row for row in cur["rows"]}
-        for base_row in base["rows"]:
-            key = row_key(base_row)
-            cur_row = cur_rows.get(key)
-            if cur_row is None:
-                failures.append(
-                    f"{name}/{table_id}: row '{key}' missing from output"
-                )
-                continue
-            for col, header in enumerate(base["headers"]):
-                if not is_cycle_column(header):
-                    continue
-                want = parse_number(base_row[col])
-                got = parse_number(cur_row[col])
-                if want is None:
-                    continue
-                if got is None:
-                    failures.append(
-                        f"{name}/{table_id} row '{key}' col '{header}': "
-                        f"non-numeric cell '{cur_row[col]}'"
+def is_count(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def is_time(v):
+    return (
+        isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and math.isfinite(v)
+        and v >= 0
+    )
+
+
+def check_trace(text):
+    """Returns the event count of a trace in TraceToJson's exact shape."""
+    try:
+        doc = strict_loads(text)
+    except ValueError as e:
+        raise GateError(f"trace is not strict JSON: {e}")
+    if not isinstance(doc, dict) or not doc.keys() <= DOC_KEYS:
+        raise GateError(f"trace document keys are not within {DOC_KEYS}")
+    if not isinstance(doc.get("traceEvents"), list):
+        raise GateError("trace has no traceEvents array")
+    for i, e in enumerate(doc["traceEvents"]):
+        if not isinstance(e, dict) or e.keys() != EVENT_KEYS:
+            raise GateError(f"trace event {i} keys are not {EVENT_KEYS}: {e}")
+        ok = (
+            e["ph"] == "X"
+            and all(isinstance(e[k], str) and e[k] for k in ("name", "cat"))
+            and is_count(e["pid"])
+            and is_count(e["tid"])
+            and is_time(e["ts"])
+            and is_time(e["dur"])
+        )
+        if not ok:
+            raise GateError(f"trace event {i} breaks the span schema: {e}")
+    return len(doc["traceEvents"])
+
+
+def run_harness(bench_dir, name):
+    """Runs one harness and returns its baseline entry."""
+    trace = os.path.join(bench_dir, f"{name}.trace.json")
+    if os.path.exists(trace):
+        os.remove(trace)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SVAGC_")}
+    env.update(
+        SVAGC_BENCH_SMOKE="1", SVAGC_BENCH_JSON="1", SVAGC_TRACE_OUT=trace
+    )
+    proc = subprocess.run(
+        [os.path.join(bench_dir, name)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    if proc.returncode != 0:
+        raise GateError(
+            f"exited {proc.returncode}:\n{proc.stdout}{proc.stderr}"
+        )
+    entry = {"tables": parse_tables(proc.stdout), "trace_events": 0}
+    if os.path.exists(trace):
+        with open(trace) as f:
+            entry["trace_events"] = check_trace(f.read())
+    with open(os.path.join(bench_dir, f"{name}.tables.json"), "w") as f:
+        json.dump(entry, f, indent=1)
+        f.write("\n")
+    return entry
+
+
+def at(items, i):
+    return items[i] if i < len(items) else None
+
+
+def first_difference(want, got):
+    """Names the first place where `got` differs from the baseline entry."""
+    for t in range(max(len(want["tables"]), len(got["tables"]))):
+        w, g = at(want["tables"], t), at(got["tables"], t)
+        if w is None or g is None:
+            return f"table {t}: {g and g['id']} (baseline {w and w['id']})"
+        where = f"table '{w['id']}'"
+        if (w["id"], w["headers"]) != (g["id"], g["headers"]):
+            return f"{where}: now '{g['id']}' {g['headers']}"
+        for r in range(max(len(w["rows"]), len(g["rows"]))):
+            wr, gr = at(w["rows"], r), at(g["rows"], r)
+            if wr is None or gr is None or len(wr) != len(gr):
+                return f"{where} row {r}: {gr} (baseline {wr})"
+            for c, (wc, gc) in enumerate(zip(wr, gr)):
+                if wc != gc:
+                    col = at(w["headers"], c)
+                    return (
+                        f"{where} row {r} '{wr[0]}' col '{col}': "
+                        f"{gc} (baseline {wc})"
                     )
-                    continue
-                limit = tolerance * max(abs(want), 1e-9)
-                if abs(got - want) > limit:
-                    failures.append(
-                        f"{name}/{table_id} row '{key}' col '{header}': "
-                        f"{got} vs baseline {want} "
-                        f"(+/-{tolerance:.0%} allowed)"
-                    )
+    return (
+        f"{got['trace_events']} trace events "
+        f"(baseline {want['trace_events']})"
+    )
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter
+    )
     ap.add_argument("--baseline", required=True)
     ap.add_argument("--bench-dir", required=True)
-    ap.add_argument("--tolerance", type=float, default=0.15)
-    ap.add_argument(
-        "--rebaseline",
-        action="store_true",
-        help="overwrite the whole baseline with the current output",
-    )
     ap.add_argument(
         "--update-baseline",
         action="store_true",
-        help="merge the named benches into the existing baseline, "
-        "preserving entries for benches not named here",
+        help="re-record the named harnesses in the baseline and keep every "
+        "other entry",
     )
-    ap.add_argument("benches", nargs="+")
+    ap.add_argument("harnesses", nargs="+")
     args = ap.parse_args()
-    if args.rebaseline and args.update_baseline:
-        ap.error("--rebaseline and --update-baseline are mutually exclusive")
 
-    current = {}
-    for name in args.benches:
-        current[name] = run_bench(args.bench_dir, name)
-        print(f"ran {name}: {len(current[name])} table(s)")
-
-    if args.rebaseline or args.update_baseline:
-        merged = {}
-        if args.update_baseline and os.path.exists(args.baseline):
-            with open(args.baseline) as f:
-                merged = json.load(f)
-        kept = [k for k in merged if k not in current]
-        merged.update(current)
-        with open(args.baseline, "w") as f:
-            json.dump(merged, f, indent=1, sort_keys=True)
-            f.write("\n")
-        if args.update_baseline:
-            print(
-                f"baseline updated: {args.baseline} "
-                f"(refreshed {sorted(current)}, kept {sorted(kept)})"
-            )
-        else:
-            print(f"baseline rewritten: {args.baseline}")
-        return 0
-
-    with open(args.baseline) as f:
-        baseline = json.load(f)
+    baseline = {}
+    if os.path.exists(args.baseline):
+        with open(args.baseline) as f:
+            baseline = json.load(f)
 
     failures = []
-    for name in args.benches:
-        if name not in baseline:
-            failures.append(f"{name}: not in baseline (run --rebaseline)")
+    for name in args.harnesses:
+        try:
+            entry = run_harness(args.bench_dir, name)
+        except (GateError, OSError, subprocess.TimeoutExpired) as e:
+            failures.append(f"{name}: {e}")
             continue
-        compare(name, baseline[name], current[name], args.tolerance, failures)
+        print(
+            f"ran {name}: {len(entry['tables'])} table(s), "
+            f"{entry['trace_events']} trace event(s)"
+        )
+        if args.update_baseline:
+            baseline[name] = entry
+        elif name not in baseline:
+            failures.append(f"{name}: no baseline entry (--update-baseline)")
+        elif entry != baseline[name]:
+            diff = first_difference(baseline[name], entry)
+            failures.append(f"{name}: {diff}")
 
     if failures:
-        print(f"{len(failures)} bench regression(s):")
+        print(f"{len(failures)} harness(es) failed the bench gate:")
         for failure in failures:
             print(f"  {failure}")
         return 1
-    print("all cycle columns within tolerance of the baseline")
+    if args.update_baseline:
+        with open(args.baseline, "w") as f:
+            json.dump(baseline, f, indent=1, sort_keys=True)
+            f.write("\n")
+        print(f"baseline updated: {args.baseline} ({len(args.harnesses)})")
+    else:
+        print(f"all {len(args.harnesses)} harnesses match the baseline")
     return 0
 
 

@@ -23,7 +23,8 @@ int main() {
     const RunResult r = RunWorkload(config);
     const rt::GcCycleRecord& sum = r.phase_sum;
     const double total = sum.Total();
-    table.AddRow({r.info.display_name, Format("%llu", (unsigned long long)r.gc_count),
+    table.AddRow({r.info.display_name,
+                  Format("%llu", (unsigned long long)r.gc_count),
                   bench::Pct(100 * sum.mark / total),
                   bench::Pct(100 * sum.forward / total),
                   bench::Pct(100 * sum.adjust / total),

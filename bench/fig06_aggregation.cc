@@ -31,7 +31,8 @@ int main() {
     sim::SwapVaOptions opts;  // defaults: PMD caching on, global flushes
     std::vector<sim::SwapRequest> requests;
     for (unsigned i = 0; i < kObjects; ++i) {
-      requests.push_back({base + 2 * i * span, base + (2 * i + 1) * span, pages});
+      requests.push_back(
+          {base + 2 * i * span, base + (2 * i + 1) * span, pages});
     }
 
     sim::CpuContext separated(machine, 0);

@@ -51,7 +51,8 @@ Outcome RunCompaction(const sim::CostProfile& profile, unsigned cores,
 
 int main() {
   const sim::CostProfile& profile = sim::ProfileXeonGold6130();
-  std::printf("== Fig. 9: multi-core optimizations to SwapVA (100 objects) ==\n");
+  std::printf(
+      "== Fig. 9: multi-core optimizations to SwapVA (100 objects) ==\n");
   bench::PrintProfileHeader(profile);
 
   TablePrinter table({"cores", "naive(kcyc)", "naive IPIs", "opt(kcyc)",
@@ -67,7 +68,7 @@ int main() {
          Format("%llu", (unsigned long long)naive.ipis),
          Format("%.1f", opt_total / 1e3),
          Format("%llu", (unsigned long long)opt.ipis),
-         opt.ipis == 0 ? "inf" : Format("%.0fx", double(naive.ipis) / opt.ipis),
+         opt.ipis == 0 ? "-" : Format("%.0fx", double(naive.ipis) / opt.ipis),
          Format("%.2fx", naive_total / opt_total)});
   }
   bench::Emit("fig09", table);

@@ -16,7 +16,8 @@ int main() {
                       "GC growth", "IPIs"});
   double base_app = 0;
   double base_gc = 0;
-  for (const unsigned jvms : bench::SmokeSweep<unsigned>({1, 2, 4, 8, 16, 32})) {
+  for (const unsigned jvms :
+       bench::SmokeSweep<unsigned>({1, 2, 4, 8, 16, 32})) {
     RunConfig config;
     config.workload = "lrucache";
     config.collector = CollectorKind::kSvagc;

@@ -10,7 +10,8 @@ using namespace svagc::workloads;
 
 int main() {
   const sim::CostProfile& profile = sim::ProfileXeonGold6130();
-  std::printf("== Fig. 15: application throughput of SVAGC (1.2x min heap) ==\n");
+  std::printf(
+      "== Fig. 15: application throughput of SVAGC (1.2x min heap) ==\n");
   bench::PrintProfileHeader(profile);
 
   TablePrinter table({"benchmark", "memmove(ops/s)", "SwapVA(ops/s)",

@@ -44,8 +44,9 @@ int main() {
                     bench::Pct(dshen)});
     }
     bench::Emit(Format("fig16@%.1fx", heap_factor), table);
-    std::printf("mean improvement: vs ParallelGC %.2f%%, vs Shenandoah %.2f%%\n",
-                vs_pgc.mean(), vs_shen.mean());
+    std::printf(
+        "mean improvement: vs ParallelGC %.2f%%, vs Shenandoah %.2f%%\n",
+        vs_pgc.mean(), vs_shen.mean());
     std::printf("paper:            %s\n\n",
                 heap_factor < 1.5 ? "30.95% and 37.27% (at 1.2x heap)"
                                   : "15.26% and 16.79% (at 2x heap)");

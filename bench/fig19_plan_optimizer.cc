@@ -39,7 +39,8 @@ std::string Count(const CounterSnapshot& counters, const char* name) {
 }
 
 RunResult RunArm(const sim::CostProfile& profile, const char* workload,
-                 unsigned iterations, const gc::PlanOptimizerConfig& optimizer) {
+                 unsigned iterations,
+                 const gc::PlanOptimizerConfig& optimizer) {
   RunConfig config;
   config.workload = workload;
   config.collector = CollectorKind::kSvagc;

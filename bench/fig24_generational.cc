@@ -80,8 +80,9 @@ int main() {
   for (const std::string& name : std::vector<std::string>{
            "lrucache", "pagerank", "compress"}) {
     const unsigned iterations =
-        iters_override != 0 ? iters_override
-                            : bench::SmokeIterations(/*full=*/120, /*smoke=*/6);
+        iters_override != 0
+            ? iters_override
+            : bench::SmokeIterations(/*full=*/120, /*smoke=*/29);
     RunResult results[3];
     for (unsigned a = 0; a < 3; ++a) {
       results[a] = RunArm(name, kArms[a], iterations, profile);

@@ -44,8 +44,9 @@ int main() {
   std::printf("SVAGC reproduction — headline summary (see EXPERIMENTS.md)\n\n");
   TablePrinter table({"claim", "paper", "measured"});
 
-  table.AddRow({"memmove/SwapVA break-even (6130)", "~10 pages",
-                Format("%llu pages", (unsigned long long)ThresholdCrossover())});
+  table.AddRow(
+      {"memmove/SwapVA break-even (6130)", "~10 pages",
+       Format("%llu pages", (unsigned long long)ThresholdCrossover())});
 
   {
     const double base = GcTotal("sparse.large/4", CollectorKind::kSvagcNoSwap);
@@ -90,8 +91,9 @@ int main() {
     };
     const auto one = RunMultiJvm(config, 1);
     const auto many = RunMultiJvm(config, 32);
-    table.AddRow({"32-JVM app growth, SVAGC (Fig. 14)", "+327.5%",
-                  bench::Pct(100 * (mean(many, false) / mean(one, false) - 1))});
+    table.AddRow(
+        {"32-JVM app growth, SVAGC (Fig. 14)", "+327.5%",
+         bench::Pct(100 * (mean(many, false) / mean(one, false) - 1))});
     table.AddRow({"32-JVM GC growth, SVAGC (Fig. 14)", "+52%",
                   bench::Pct(100 * (mean(many, true) / mean(one, true) - 1))});
   }

@@ -78,7 +78,8 @@ std::vector<unsigned> Arbiter::FormEpoch(bool force) {
       pending.begin(),
       pending.begin() +
           (config_.max_concurrent_gcs > 0
-               ? std::min<std::size_t>(pending.size(), config_.max_concurrent_gcs)
+               ? std::min<std::size_t>(pending.size(),
+                                       config_.max_concurrent_gcs)
                : pending.size()));
 
   // Pause-budget scheduling: if the head of the queue blew its budget, give

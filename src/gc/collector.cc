@@ -87,7 +87,8 @@ double CollectorBase::RunParallelPhase(
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     before[i] = workers_[i]->account.total();
   }
-  gang_->Run([&](unsigned worker_id) { body(worker_id, *workers_[worker_id]); });
+  gang_->Run(
+      [&](unsigned worker_id) { body(worker_id, *workers_[worker_id]); });
   double critical_path = 0;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     critical_path =

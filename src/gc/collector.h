@@ -194,8 +194,8 @@ class CollectorBase : public rt::CollectorIface {
 
   // Turns the per-worker deltas from EndPhaseCapture into phase-relative
   // TaskSpans named "<prefix>/w<i>" (zero-cost workers are skipped).
-  static std::vector<TaskSpan> WorkerTaskSpans(const char* prefix,
-                                               const std::vector<double>& deltas);
+  static std::vector<TaskSpan> WorkerTaskSpans(
+      const char* prefix, const std::vector<double>& deltas);
 
   // End-of-cycle hook every engine calls after log_.Record(rec): advances
   // this collector's modeled-cycle trace clock and, when a tracer is

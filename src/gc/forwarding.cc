@@ -29,8 +29,9 @@ ForwardingResult ComputeForwarding(rt::Jvm& jvm, const MarkBitmap& bitmap,
   CompactionPlan& plan = result.plan;
 
   // Linear sweep over the whole used heap (phase II touches every header).
-  ctx.account.Charge(sim::CostKind::kCompute,
-                     costs.heap_scan_per_byte * static_cast<double>(heap.used()));
+  ctx.account.Charge(
+      sim::CostKind::kCompute,
+      costs.heap_scan_per_byte * static_cast<double>(heap.used()));
 
   rt::vaddr_t comp_pnt = heap.base();
   heap.ForEachObject([&](rt::vaddr_t addr, std::uint64_t size) {

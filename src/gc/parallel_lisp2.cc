@@ -24,12 +24,11 @@ namespace {
 // predecessors' modeled completion times. Ties break on (time, region) and
 // (time, worker id), making the result a pure function of the plan — the
 // property every reported number in this repo must have.
-double ReplayListSchedule(unsigned workers,
-                          const std::vector<std::uint64_t>& work,
-                          const std::vector<std::vector<std::uint64_t>>& watchers,
-                          std::vector<std::uint32_t> deps_left,
-                          const std::vector<double>& cost,
-                          std::vector<TaskSpan>* schedule = nullptr) {
+double ReplayListSchedule(
+    unsigned workers, const std::vector<std::uint64_t>& work,
+    const std::vector<std::vector<std::uint64_t>>& watchers,
+    std::vector<std::uint32_t> deps_left, const std::vector<double>& cost,
+    std::vector<TaskSpan>* schedule = nullptr) {
   std::set<std::uint64_t> ready;
   for (const std::uint64_t r : work) {
     if (deps_left[r] == 0) ready.insert(r);
@@ -322,10 +321,9 @@ void ParallelLisp2::PublishRegionDone(std::uint64_t region) {
 // run regions in parallel. Source extents are needed (not just region
 // indices) because a large object can span region boundaries: its source
 // tail lives in higher regions than the region that owns the move.
-double ParallelLisp2::CompactWorkStealing(rt::Jvm& jvm,
-                                          const CompactionPlan& plan,
-                                          unsigned compact_workers,
-                                          std::vector<TaskSpan>* compact_tasks) {
+double ParallelLisp2::CompactWorkStealing(
+    rt::Jvm& jvm, const CompactionPlan& plan, unsigned compact_workers,
+    std::vector<TaskSpan>* compact_tasks) {
   const std::uint64_t num_regions = plan.region_moves.size();
   watchers_.assign(num_regions, {});
   deps_left_ = std::vector<std::atomic<std::uint32_t>>(num_regions);

@@ -46,7 +46,8 @@ class MemoryHierarchy : public sim::MemTraceSink {
   // must be a power of two.
   explicit MemoryHierarchy(const HierarchyConfig& config = {});
 
-  void OnAccess(std::uint64_t vaddr, std::uint32_t size, bool is_write) override;
+  void OnAccess(std::uint64_t vaddr, std::uint32_t size,
+                bool is_write) override;
 
   // "Cache misses %" in Table III is perf's cache-misses / cache-references,
   // i.e. LLC misses over LLC references.

@@ -35,8 +35,9 @@ HeapSnapshot SnapshotHeap(Jvm& jvm) {
   snapshot.bytes.resize(snapshot.top - snapshot.base);
   ForEachPageChunk(snapshot.base, snapshot.top,
                    [&](vaddr_t vaddr, std::uint64_t chunk) {
-                     std::memcpy(snapshot.bytes.data() + (vaddr - snapshot.base),
-                                 as.RawPtr(vaddr), chunk);
+                     std::memcpy(
+                         snapshot.bytes.data() + (vaddr - snapshot.base),
+                         as.RawPtr(vaddr), chunk);
                    });
   snapshot.root_slots = jvm.roots().SnapshotSlots();
   snapshot.root_free = jvm.roots().SnapshotFreeList();
@@ -53,7 +54,8 @@ void RestoreHeap(Jvm& jvm, const HeapSnapshot& snapshot) {
   ForEachPageChunk(snapshot.base, snapshot.top,
                    [&](vaddr_t vaddr, std::uint64_t chunk) {
                      std::memcpy(as.RawPtr(vaddr),
-                                 snapshot.bytes.data() + (vaddr - snapshot.base),
+                                 snapshot.bytes.data() +
+                                     (vaddr - snapshot.base),
                                  chunk);
                    });
   heap.SetTopAfterGc(snapshot.top);

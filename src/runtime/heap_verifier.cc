@@ -9,7 +9,9 @@ namespace svagc::rt {
 
 namespace {
 
-std::string Hex(vaddr_t addr) { return Format("0x%llx", (unsigned long long)addr); }
+std::string Hex(vaddr_t addr) {
+  return Format("0x%llx", (unsigned long long)addr);
+}
 
 struct CheckSet {
   bool extents = false;     // page-extent exclusivity during the parse

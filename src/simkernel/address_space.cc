@@ -257,15 +257,17 @@ void AddressSpace::CopyBytes(CpuContext& ctx, vaddr_t dst, vaddr_t src,
   }
 }
 
-void AddressSpace::ZeroBytes(CpuContext& ctx, vaddr_t dst, std::uint64_t bytes) {
+void AddressSpace::ZeroBytes(CpuContext& ctx, vaddr_t dst,
+                             std::uint64_t bytes) {
   if (bytes == 0) return;
   ScopedTierPin pin_dst(far_tier_.get(), dst, bytes);
   EnsureResident(ctx, dst, bytes);
   const CostProfile& cost = machine_.cost();
   // Zeroing streams half the traffic of a copy (write-only).
   ctx.account.Charge(CostKind::kAlloc,
-                     static_cast<double>(bytes) * cost.CopyCyclesPerByte(bytes) *
-                         0.5 * machine_.BandwidthContentionFactor());
+                     static_cast<double>(bytes) *
+                         cost.CopyCyclesPerByte(bytes) * 0.5 *
+                         machine_.BandwidthContentionFactor());
   if (trace_ != nullptr) {
     trace_->OnAccess(dst, static_cast<std::uint32_t>(
                               std::min<std::uint64_t>(bytes, ~0U)),

@@ -12,12 +12,13 @@ inline constexpr std::uint64_t kPageSize = 1ULL << kPageShift;  // 4 KiB
 inline constexpr std::uint64_t kLevelBits = 9;
 inline constexpr std::uint64_t kEntriesPerTable = 1ULL << kLevelBits;  // 512
 
-// Virtual-page-number field widths (vpn = vaddr >> kPageShift).
-inline constexpr std::uint64_t kPteIndexShift = 0;                    // bits 0..8
-inline constexpr std::uint64_t kPmdIndexShift = kLevelBits;           // bits 9..17
-inline constexpr std::uint64_t kPudIndexShift = 2 * kLevelBits;       // bits 18..26
-inline constexpr std::uint64_t kP4dIndexShift = 3 * kLevelBits;       // bits 27..35
-inline constexpr std::uint64_t kPgdIndexShift = 4 * kLevelBits;       // bits 36..44
+// Virtual-page-number field widths (vpn = vaddr >> kPageShift): the PTE
+// index is vpn bits 0..8, PMD 9..17, PUD 18..26, P4D 27..35, PGD 36..44.
+inline constexpr std::uint64_t kPteIndexShift = 0;
+inline constexpr std::uint64_t kPmdIndexShift = kLevelBits;
+inline constexpr std::uint64_t kPudIndexShift = 2 * kLevelBits;
+inline constexpr std::uint64_t kP4dIndexShift = 3 * kLevelBits;
+inline constexpr std::uint64_t kPgdIndexShift = 4 * kLevelBits;
 
 inline constexpr std::uint64_t kIndexMask = kEntriesPerTable - 1;
 

@@ -58,7 +58,9 @@ class CycleAccount {
 
   void Merge(const CycleAccount& other) {
     total_ += other.total_;
-    for (unsigned i = 0; i < kNumCostKinds; ++i) by_kind_[i] += other.by_kind_[i];
+    for (unsigned i = 0; i < kNumCostKinds; ++i) {
+      by_kind_[i] += other.by_kind_[i];
+    }
   }
 
   void Reset() {

@@ -183,7 +183,9 @@ class FarTier {
   std::uint64_t resident_limit() const { return config_.resident_limit_pages; }
   std::uint64_t used_slots() const { return far_.used_slots(); }
   // Verifier probe: is this slot currently handed out by the allocator?
-  bool SlotAllocated(std::uint64_t slot) const { return far_.IsAllocated(slot); }
+  bool SlotAllocated(std::uint64_t slot) const {
+    return far_.IsAllocated(slot);
+  }
 
   // This tier's own tallies. They are per tenant, while the kernel.tier.*
   // counters in the machine registry sum every tenant's tier.

@@ -71,7 +71,9 @@ void Machine::SendTlbShootdownMulti(CpuContext& ctx,
 
 std::uint64_t Machine::TotalDisturbanceCycles() const {
   std::uint64_t total = 0;
-  for (const auto& cell : disturbance_) total += cell->load(std::memory_order_relaxed);
+  for (const auto& cell : disturbance_) {
+    total += cell->load(std::memory_order_relaxed);
+  }
   return total;
 }
 

@@ -15,7 +15,8 @@ class MemTraceSink {
   virtual ~MemTraceSink() = default;
 
   // One data access of `size` bytes at virtual address `vaddr`.
-  virtual void OnAccess(std::uint64_t vaddr, std::uint32_t size, bool is_write) = 0;
+  virtual void OnAccess(std::uint64_t vaddr, std::uint32_t size,
+                        bool is_write) = 0;
 };
 
 }  // namespace svagc::sim

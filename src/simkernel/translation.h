@@ -151,7 +151,7 @@ class Translation {
   // per-page Unmap instead.
   virtual frame_t UnmapHuge(std::uint64_t vpn) = 0;
 
-  // --- Uncosted reads ---------------------------------------------------------
+  // --- Uncosted reads --------------------------------------------------------
 
   // Base frame of the huge leaf covering vpn, or nullopt when the unit is
   // not huge-mapped (unpopulated or split to 4 KiB granularity).
@@ -175,7 +175,7 @@ class Translation {
   virtual void VisitSmallPages(
       const std::function<void(std::uint64_t vpn, Pte pte)>& fn) const = 0;
 
-  // --- TLB refill -------------------------------------------------------------
+  // --- TLB refill ------------------------------------------------------------
 
   // Result detail for HardwareWalk: set when the translation resolved
   // through a huge leaf, so the TLB can install a 2 MiB-reach entry.
@@ -191,7 +191,7 @@ class Translation {
       std::uint64_t vpn, CycleAccount& acct, const CostProfile& cost,
       HugeTranslation* huge = nullptr) = 0;
 
-  // --- SwapVA leaf access -----------------------------------------------------
+  // --- SwapVA leaf access ----------------------------------------------------
 
   // A resolved leaf slot: the PTE word to exchange plus the lock guarding
   // it (the radix split-PTL or the hashed bucket's stripe lock). The caller
@@ -219,7 +219,7 @@ class Translation {
   // is the same lock the SwapVA paths hold while exchanging leaf words.
   virtual PteRef LeafSlotRaw(std::uint64_t vpn) = 0;
 
-  // --- 2 MiB-unit swapping ----------------------------------------------------
+  // --- 2 MiB-unit swapping ---------------------------------------------------
 
   // Whether `units` consecutive 2 MiB units starting at the two unit-aligned
   // vpns can be exchanged wholesale. The radix backend exchanges PMD slots
@@ -244,7 +244,7 @@ class Translation {
   virtual Pte* HugeEntryForSwap(std::uint64_t unit_vpn, CycleAccount& acct,
                                 const CostProfile& cost, PmdCache* cache) = 0;
 
-  // --- Verification (uncosted) ------------------------------------------------
+  // --- Verification (uncosted) -----------------------------------------------
 
   // Number of 2 MiB units carrying BOTH 4 KiB mappings and a huge leaf —
   // any non-zero count is the aliasing corruption the

@@ -7,7 +7,9 @@
 
 namespace svagc {
 
-constexpr bool IsPowerOfTwo(std::uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
+constexpr bool IsPowerOfTwo(std::uint64_t x) {
+  return x != 0 && (x & (x - 1)) == 0;
+}
 
 // Rounds `value` up to the next multiple of `alignment` (a power of two).
 constexpr std::uint64_t AlignUp(std::uint64_t value, std::uint64_t alignment) {
@@ -15,7 +17,8 @@ constexpr std::uint64_t AlignUp(std::uint64_t value, std::uint64_t alignment) {
 }
 
 // Rounds `value` down to the previous multiple of `alignment` (a power of two).
-constexpr std::uint64_t AlignDown(std::uint64_t value, std::uint64_t alignment) {
+constexpr std::uint64_t AlignDown(std::uint64_t value,
+                                  std::uint64_t alignment) {
   return value & ~(alignment - 1);
 }
 

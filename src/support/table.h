@@ -9,15 +9,48 @@
 
 namespace svagc {
 
+// Appends `s` as a JSON string literal: quotes, backslashes and control
+// characters escaped. The bench tables and the trace export both use it.
+inline void AppendJsonString(std::string& out, const std::string& s) {
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
 class TablePrinter {
  public:
   explicit TablePrinter(std::vector<std::string> headers)
       : headers_(std::move(headers)) {}
 
-  void AddRow(std::vector<std::string> cells) { rows_.push_back(std::move(cells)); }
+  void AddRow(std::vector<std::string> cells) {
+    rows_.push_back(std::move(cells));
+  }
 
   // One self-describing JSON line per table, machine-checkable by the
-  // bench-smoke harness and by downstream plotting scripts:
+  // bench gate (bench/check_regression.py) and by plotting scripts:
   //   {"id": "...", "headers": [...], "rows": [[...], ...]}
   void PrintJson(const std::string& id, std::FILE* out = stdout) const {
     std::string line = "{\"id\": ";
@@ -35,7 +68,9 @@ class TablePrinter {
 
   void Print(std::FILE* out = stdout) const {
     std::vector<std::size_t> widths(headers_.size(), 0);
-    for (std::size_t i = 0; i < headers_.size(); ++i) widths[i] = headers_[i].size();
+    for (std::size_t i = 0; i < headers_.size(); ++i) {
+      widths[i] = headers_[i].size();
+    }
     for (const auto& row : rows_) {
       for (std::size_t i = 0; i < row.size() && i < widths.size(); ++i) {
         widths[i] = std::max(widths[i], row[i].size());
@@ -52,35 +87,6 @@ class TablePrinter {
   }
 
  private:
-  static void AppendJsonString(std::string& out, const std::string& s) {
-    out += '"';
-    for (const char c : s) {
-      switch (c) {
-        case '"':
-          out += "\\\"";
-          break;
-        case '\\':
-          out += "\\\\";
-          break;
-        case '\n':
-          out += "\\n";
-          break;
-        case '\t':
-          out += "\\t";
-          break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
-    }
-    out += '"';
-  }
-
   static void AppendJsonArray(std::string& out,
                               const std::vector<std::string>& cells) {
     out += '[';

@@ -121,7 +121,9 @@ class WorkStealingDeque {
     }
     T value = std::move(overflow_.back());
     overflow_.pop_back();
-    if (overflow_.empty()) overflow_empty_.store(true, std::memory_order_relaxed);
+    if (overflow_.empty()) {
+      overflow_empty_.store(true, std::memory_order_relaxed);
+    }
     return value;
   }
 

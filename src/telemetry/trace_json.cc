@@ -1,43 +1,12 @@
 #include "telemetry/trace_json.h"
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+
+#include "support/table.h"
 
 namespace svagc::telemetry {
 
 namespace {
-
-void AppendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 void AppendDouble(std::string& out, double v) {
   char buf[40];
@@ -45,251 +14,6 @@ void AppendDouble(std::string& out, double v) {
   std::snprintf(buf, sizeof buf, "%.17g", v);
   out += buf;
 }
-
-// Recursive-descent parser for the subset of JSON the trace schema needs:
-// objects, arrays, strings, numbers. Keys outside the schema are rejected
-// (strictness is the point — the smoke check must catch emitter drift).
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  std::optional<std::vector<TraceEvent>> Parse(std::string* error) {
-    std::optional<std::vector<TraceEvent>> result = ParseDocument();
-    if (!result && error != nullptr) *error = error_;
-    return result;
-  }
-
- private:
-  std::optional<std::vector<TraceEvent>> ParseDocument() {
-    SkipWs();
-    if (!Expect('{')) return Fail("document is not an object");
-    std::vector<TraceEvent> events;
-    bool saw_events = false;
-    if (PeekIs('}')) return Fail("document has no traceEvents");
-    for (;;) {
-      SkipWs();
-      std::string key;
-      if (!ParseString(&key)) return Fail("bad document key");
-      SkipWs();
-      if (!Expect(':')) return Fail("missing ':' after document key");
-      SkipWs();
-      if (key == "traceEvents") {
-        if (!ParseEvents(&events)) return std::nullopt;
-        saw_events = true;
-      } else if (key == "displayTimeUnit") {
-        std::string ignored;
-        if (!ParseString(&ignored)) return Fail("bad displayTimeUnit");
-      } else if (key == "otherData") {
-        if (!SkipStringMap()) return Fail("bad otherData");
-      } else {
-        return Fail("unknown document key: " + key);
-      }
-      SkipWs();
-      if (Expect(',')) continue;
-      if (Expect('}')) break;
-      return Fail("missing ',' or '}' in document");
-    }
-    SkipWs();
-    if (pos_ != text_.size()) return Fail("trailing garbage after document");
-    if (!saw_events) return Fail("document has no traceEvents");
-    return events;
-  }
-
-  bool ParseEvents(std::vector<TraceEvent>* events) {
-    if (!Expect('[')) return FailB("traceEvents is not an array");
-    SkipWs();
-    if (Expect(']')) return true;
-    for (;;) {
-      SkipWs();
-      TraceEvent event;
-      if (!ParseEvent(&event)) return false;
-      events->push_back(std::move(event));
-      SkipWs();
-      if (Expect(',')) continue;
-      if (Expect(']')) return true;
-      return FailB("missing ',' or ']' in traceEvents");
-    }
-  }
-
-  bool ParseEvent(TraceEvent* event) {
-    if (!Expect('{')) return FailB("event is not an object");
-    bool saw_name = false, saw_cat = false, saw_ph = false, saw_pid = false,
-         saw_tid = false, saw_ts = false, saw_dur = false;
-    for (;;) {
-      SkipWs();
-      std::string key;
-      if (!ParseString(&key)) return FailB("bad event key");
-      SkipWs();
-      if (!Expect(':')) return FailB("missing ':' in event");
-      SkipWs();
-      if (key == "name") {
-        saw_name = ParseString(&event->name);
-        if (!saw_name) return FailB("bad event name");
-      } else if (key == "cat") {
-        saw_cat = ParseString(&event->cat);
-        if (!saw_cat) return FailB("bad event cat");
-      } else if (key == "ph") {
-        std::string ph;
-        if (!ParseString(&ph)) return FailB("bad event ph");
-        if (ph != "X") return FailB("event ph is not \"X\"");
-        saw_ph = true;
-      } else if (key == "pid" || key == "tid") {
-        double v = 0;
-        if (!ParseNumber(&v)) return FailB("bad event " + key);
-        if (v < 0 || v != std::floor(v)) {
-          return FailB("event " + key + " is not a non-negative integer");
-        }
-        (key == "pid" ? event->pid : event->tid) =
-            static_cast<std::uint32_t>(v);
-        (key == "pid" ? saw_pid : saw_tid) = true;
-      } else if (key == "ts" || key == "dur") {
-        double v = 0;
-        if (!ParseNumber(&v)) return FailB("bad event " + key);
-        (key == "ts" ? event->ts : event->dur) = v;
-        (key == "ts" ? saw_ts : saw_dur) = true;
-      } else {
-        return FailB("unknown event key: " + key);
-      }
-      SkipWs();
-      if (Expect(',')) continue;
-      if (Expect('}')) break;
-      return FailB("missing ',' or '}' in event");
-    }
-    if (!(saw_name && saw_cat && saw_ph && saw_pid && saw_tid && saw_ts &&
-          saw_dur)) {
-      return FailB("event is missing a required key");
-    }
-    return true;
-  }
-
-  // {"k": "v", ...} whose values are all strings (the otherData block).
-  bool SkipStringMap() {
-    if (!Expect('{')) return false;
-    SkipWs();
-    if (Expect('}')) return true;
-    for (;;) {
-      SkipWs();
-      std::string ignored;
-      if (!ParseString(&ignored)) return false;
-      SkipWs();
-      if (!Expect(':')) return false;
-      SkipWs();
-      if (!ParseString(&ignored)) return false;
-      SkipWs();
-      if (Expect(',')) continue;
-      if (Expect('}')) return true;
-      return false;
-    }
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Expect('"')) return false;
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-        const char esc = text_[pos_];
-        switch (esc) {
-          case '"':
-            *out += '"';
-            break;
-          case '\\':
-            *out += '\\';
-            break;
-          case '/':
-            *out += '/';
-            break;
-          case 'n':
-            *out += '\n';
-            break;
-          case 't':
-            *out += '\t';
-            break;
-          case 'b':
-            *out += '\b';
-            break;
-          case 'f':
-            *out += '\f';
-            break;
-          case 'r':
-            *out += '\r';
-            break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              ++pos_;
-              if (pos_ >= text_.size() ||
-                  !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
-                return false;
-              }
-              const char h = text_[pos_];
-              code = code * 16 +
-                     (h <= '9' ? h - '0' : (h | 0x20) - 'a' + 10);
-            }
-            // The emitter only writes \u00XX control escapes.
-            if (code > 0x7F) return false;
-            *out += static_cast<char>(code);
-            break;
-          }
-          default:
-            return false;
-        }
-      } else {
-        *out += c;
-      }
-      ++pos_;
-    }
-    return false;
-  }
-
-  bool ParseNumber(double* out) {
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) return false;
-    pos_ += static_cast<std::size_t>(end - start);
-    *out = v;
-    return true;
-  }
-
-  bool Expect(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool PeekIs(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
-
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  std::optional<std::vector<TraceEvent>> Fail(std::string message) {
-    if (error_.empty()) error_ = std::move(message);
-    return std::nullopt;
-  }
-  bool FailB(std::string message) {
-    if (error_.empty()) error_ = std::move(message);
-    return false;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
 
 }  // namespace
 
@@ -317,41 +41,6 @@ std::string TraceToJson(const std::vector<TraceEvent>& events) {
   }
   out += "]}\n";
   return out;
-}
-
-std::optional<std::vector<TraceEvent>> ParseTraceJson(const std::string& text,
-                                                      std::string* error) {
-  // The writer appends a trailing newline; the parser's trailing-garbage
-  // check is byte-exact, so trim outer whitespace first.
-  std::size_t begin = 0, end = text.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
-  return Parser(text.substr(begin, end - begin)).Parse(error);
-}
-
-std::string ValidateTraceJson(const std::string& text) {
-  std::string error;
-  const auto events = ParseTraceJson(text, &error);
-  if (!events) return "parse error: " + error;
-  for (std::size_t i = 0; i < events->size(); ++i) {
-    const TraceEvent& e = (*events)[i];
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "event %zu: ", i);
-    if (e.name.empty()) return std::string(buf) + "empty name";
-    if (e.cat.empty()) return std::string(buf) + "empty cat";
-    if (!std::isfinite(e.ts) || e.ts < 0) {
-      return std::string(buf) + "ts is not a finite non-negative number";
-    }
-    if (!std::isfinite(e.dur) || e.dur < 0) {
-      return std::string(buf) + "dur is not a finite non-negative number";
-    }
-  }
-  return "";
 }
 
 }  // namespace svagc::telemetry

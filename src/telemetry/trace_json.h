@@ -1,4 +1,4 @@
-// Perfetto trace_event JSON export, parse and schema validation.
+// Perfetto trace_event JSON export.
 //
 // The emitted document is the JSON object form of the Chrome trace_event
 // format that Perfetto (https://ui.perfetto.dev) loads directly:
@@ -9,14 +9,12 @@
 //      {"name": "...", "cat": "...", "ph": "X",
 //       "pid": 1, "tid": 0, "ts": 0, "dur": 123.5}, ...]}
 //
-// ts/dur are printed with %.17g so the modeled-cycle doubles round-trip
-// bit-identically through serialize -> parse -> serialize (the golden-file
-// test in tests/telemetry_test.cc relies on this, and so does the
-// acceptance check that trace-derived per-phase totals equal the fig01
-// numbers exactly).
+// ts/dur are printed with %.17g so every modeled-cycle double reads back
+// bit-identically (the golden-bytes test in tests/telemetry_test.cc pins
+// the exact output; bench/check_regression.py checks every trace a bench
+// harness writes against this shape).
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,17 +25,5 @@ namespace svagc::telemetry {
 // Serializes events in order. This is the only writer; TraceRecorder's
 // ToJson/WriteFile delegate here.
 std::string TraceToJson(const std::vector<TraceEvent>& events);
-
-// Strict parser for exactly the document shape TraceToJson emits (plus
-// whitespace freedom and any key order). Returns nullopt and fills *error
-// on malformed JSON or schema violations.
-std::optional<std::vector<TraceEvent>> ParseTraceJson(const std::string& text,
-                                                      std::string* error);
-
-// Minimal schema checker used by the telemetry_smoke ctest: the document
-// must parse, every event must be a complete span ("ph": "X") with a
-// non-empty name, a category, integer pid/tid and finite ts/dur >= 0.
-// Returns "" when valid, else a description of the first violation.
-std::string ValidateTraceJson(const std::string& text);
 
 }  // namespace svagc::telemetry

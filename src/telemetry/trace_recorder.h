@@ -14,7 +14,7 @@
 //
 // Spans are emitted by the *driving* thread after each phase's modeled
 // durations are final (never from inside the parallel gang), which keeps
-// event order deterministic. Export/parse/validate helpers live in
+// event order deterministic. The JSON export lives in
 // telemetry/trace_json.h.
 #pragma once
 

@@ -121,7 +121,8 @@ void PlantSalt(rt::Jvm& jvm, const OracleConfig& config) {
     rt::ObjectView view = jvm.View(addr);
     const std::uint64_t words = view.data_words();
     for (std::uint64_t w = 0; w < words; ++w) {
-      view.set_data_word(w, (std::uint64_t{i} << 48) ^ (w * 0x9E3779B97F4A7C15ULL));
+      view.set_data_word(
+          w, (std::uint64_t{i} << 48) ^ (w * 0x9E3779B97F4A7C15ULL));
     }
     jvm.roots().Add(addr);
   }
@@ -179,7 +180,8 @@ MovePrediction PredictMoveBytes(const HeapDigest& pre, const HeapDigest& post,
     if (src.addr == dst.addr) continue;  // not displaced, never moved
     const bool swappable =
         src.size >= config.swap_threshold_pages * sim::kPageSize &&
-        IsAligned(src.addr, sim::kPageSize) && IsAligned(dst.addr, sim::kPageSize);
+        IsAligned(src.addr, sim::kPageSize) &&
+        IsAligned(dst.addr, sim::kPageSize);
     if (swappable) {
       out.swapped_bytes += CeilDiv(src.size, sim::kPageSize) << sim::kPageShift;
     } else {
@@ -232,7 +234,8 @@ HeapDigest DigestHeap(rt::Jvm& jvm) {
     obj.type_id = view.type_id();
     obj.num_refs = view.num_refs();
     if (rt::ObjectBytes(obj.num_refs, 0) > size) {
-      fail(Format("refs overflow object at 0x%llx", (unsigned long long)cursor));
+      fail(Format("refs overflow object at 0x%llx",
+                  (unsigned long long)cursor));
       return digest;
     }
     obj.refs.reserve(obj.num_refs);
@@ -270,9 +273,10 @@ std::string CompareDigests(const HeapDigest& swap_arm,
     const DigestObject& b = copy_arm.objects[i];
     if (a == b) continue;
     if (a.addr != b.addr || a.size != b.size) {
-      return Format("object %zu layout differs: (0x%llx, %llu) vs (0x%llx, %llu)",
-                    i, (unsigned long long)a.addr, (unsigned long long)a.size,
-                    (unsigned long long)b.addr, (unsigned long long)b.size);
+      return Format(
+          "object %zu layout differs: (0x%llx, %llu) vs (0x%llx, %llu)", i,
+          (unsigned long long)a.addr, (unsigned long long)a.size,
+          (unsigned long long)b.addr, (unsigned long long)b.size);
     }
     if (a.type_id != b.type_id || a.num_refs != b.num_refs ||
         a.refs != b.refs) {

@@ -108,7 +108,9 @@ rt::VerifyResult CheckTierResidency(rt::Jvm& jvm) {
 }
 
 std::string InvariantReport::Describe() const {
-  if (ok) return Format("all %llu invariants ok", (unsigned long long)checks_run);
+  if (ok) {
+    return Format("all %llu invariants ok", (unsigned long long)checks_run);
+  }
   std::string out;
   for (const InvariantFailure& failure : failures) {
     if (!out.empty()) out += "; ";

@@ -72,7 +72,8 @@ class BisortWorkload final : public TableWorkload {
       const rt::vaddr_t scratch_addr = jvm.roots().Get(scratch);
       rt::ObjectView scratch_view = jvm.View(scratch_addr);
       const std::size_t top = heights.size() - 1;
-      jvm.WriteRef(parent, 0, scratch_view.ref(static_cast<std::uint32_t>(top)));
+      jvm.WriteRef(parent, 0,
+                   scratch_view.ref(static_cast<std::uint32_t>(top)));
       jvm.WriteRef(parent, 1,
                    scratch_view.ref(static_cast<std::uint32_t>(top - 1)));
       jvm.WriteRef(scratch_addr, static_cast<std::uint32_t>(top), 0);

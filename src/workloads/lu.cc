@@ -60,6 +60,8 @@ class LuWorkload final : public TableWorkload {
 
 }  // namespace
 
-std::unique_ptr<Workload> MakeLuLarge() { return std::make_unique<LuWorkload>(); }
+std::unique_ptr<Workload> MakeLuLarge() {
+  return std::make_unique<LuWorkload>();
+}
 
 }  // namespace svagc::workloads

@@ -30,7 +30,8 @@ class ParallelSortWorkload final : public TableWorkload {
   void Setup(rt::Jvm& jvm) override {
     table_ = jvm.roots().Add(AllocRefTable(jvm, kChunks, 0));
     for (unsigned c = 0; c < kChunks; ++c) {
-      const rt::vaddr_t chunk = AllocDataArray(jvm, kChunkBytes, NextThread(jvm));
+      const rt::vaddr_t chunk =
+          AllocDataArray(jvm, kChunkBytes, NextThread(jvm));
       jvm.WriteRef(jvm.roots().Get(table_), c, chunk);
       FillRandom(jvm, chunk);
     }

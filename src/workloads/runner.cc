@@ -174,7 +174,8 @@ RunResult HarvestTenant(const RunConfig& config, sim::Machine& machine,
 
   rt::GcLog& log = jvm.collector().log();
   result.gc_count = log.collections;
-  if (auto* gen = dynamic_cast<core::GenerationalCollector*>(&jvm.collector())) {
+  if (auto* gen =
+          dynamic_cast<core::GenerationalCollector*>(&jvm.collector())) {
     result.gc_full_count = gen->full_collections();
     result.gc_minor_count = gen->minor_collections();
     result.promoted_bytes = gen->promoted_bytes();
@@ -191,8 +192,8 @@ RunResult HarvestTenant(const RunConfig& config, sim::Machine& machine,
   result.mutator_cycles = jvm.MutatorCycles();
   result.disturbance_cycles =
       static_cast<double>(machine.DisturbanceCycles(bundle.mutator_core));
-  result.app_cycles =
-      result.mutator_cycles + result.gc_total_cycles + result.disturbance_cycles;
+  result.app_cycles = result.mutator_cycles + result.gc_total_cycles +
+                      result.disturbance_cycles;
   const double seconds = result.app_cycles / (machine.cost().ghz * 1e9);
   result.throughput_ops = seconds > 0 ? iterations / seconds : 0;
 
@@ -295,9 +296,9 @@ std::vector<RunResult> RunMultiJvm(const RunConfig& config, unsigned num_jvms) {
     bundles.back().workload->Setup(*bundles.back().jvm);
   }
 
-  const unsigned iterations = config.iterations != 0
-                                  ? config.iterations
-                                  : bundles.front().workload->default_iterations();
+  const unsigned iterations =
+      config.iterations != 0 ? config.iterations
+                             : bundles.front().workload->default_iterations();
   // Interleave iterations round-robin, approximating concurrent execution.
   for (unsigned i = 0; i < iterations; ++i) {
     for (auto& bundle : bundles) bundle.workload->Iterate(*bundle.jvm);

@@ -60,9 +60,10 @@ class SparseWorkload final : public TableWorkload {
       for (unsigned k = 0; k < band; ++k) {
         const unsigned i = (start + k) % num_blocks_;
         const unsigned t = NextThread(jvm);
-        StreamOverObject(jvm, t, table.ref(i), 0.25, false);               // values
-        StreamOverObject(jvm, t, table.ref(num_blocks_ + i), 0.2, false);  // idx
-        StreamOverObject(jvm, t, table.ref(2 * num_blocks_), 0.15, false); // x
+        // Block i's values, then its column indices, then the x vector.
+        StreamOverObject(jvm, t, table.ref(i), 0.25, false);
+        StreamOverObject(jvm, t, table.ref(num_blocks_ + i), 0.2, false);
+        StreamOverObject(jvm, t, table.ref(2 * num_blocks_), 0.15, false);
       }
       StreamOverObject(jvm, 0, table.ref(2 * num_blocks_ + 1), 0.2, true);  // y
     }

@@ -274,7 +274,7 @@ INSTANTIATE_TEST_SUITE_P(Drivers, LiveTlabCollect,
                                            "Generational"),
                          [](const auto& info) { return info.param; });
 
-// --- SVAGC-specific behaviour -------------------------------------------------
+// --- SVAGC-specific behaviour ------------------------------------------------
 
 TEST(SvagcCollector, SwapsLargeObjectsAndCopiesSmallOnes) {
   SimBundle sim(4, 256ULL << 20);

@@ -16,7 +16,7 @@ namespace {
 using svagc::testing::ChecksumReachable;
 using svagc::testing::SimBundle;
 
-// --- scrub_source -------------------------------------------------------------
+// --- scrub_source ------------------------------------------------------------
 
 TEST(ScrubOption, MovePlusScrubLeavesNoPayloadBehind) {
   SimBundle sim(2);
@@ -60,7 +60,7 @@ TEST(ScrubOption, OffByDefaultPreservesSwapSemantics) {
   EXPECT_EQ(as.ReadWord(base + 4 * sim::kPageSize), 111u);
 }
 
-// --- minor / concurrent evacuation ---------------------------------------------
+// --- minor / concurrent evacuation -------------------------------------------
 
 // Table I rows 2-3 through the production collectors: the generational
 // front end's tenure batch (minor copying, aggregation applies) and
@@ -180,7 +180,7 @@ TEST_F(EvacuationTest, ModesProduceIdenticalData) {
   EXPECT_EQ(ChecksumReachable(*jvm_), before);
 }
 
-// --- NVM write accounting -------------------------------------------------------
+// --- NVM write accounting ----------------------------------------------------
 
 TEST(NvmWear, SwapAvoidsPhysicalWrites) {
   SimBundle sim(2);

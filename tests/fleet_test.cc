@@ -176,7 +176,7 @@ TEST(FleetIdentity, SingleTenantBitIdenticalArbiterOnVsOff) {
   EXPECT_EQ(strip_fleet(a), strip_fleet(b));
 }
 
-// --- pause-budget property ----------------------------------------------------
+// --- pause-budget property ---------------------------------------------------
 
 // Over random tenant mixes, coordination must never make the worst tenant's
 // pause or SLO tally worse than the uncoordinated fleet: admission caps the
@@ -246,7 +246,7 @@ TEST(FleetDifferential, SwapVaMatchesMemmoveAcrossFourTenants) {
   EXPECT_GT(swapped, 0u);
 }
 
-// --- soak ---------------------------------------------------------------------
+// --- soak --------------------------------------------------------------------
 
 // 16 tenants, batching + admission + budget, heap verifier on: the CI
 // fleet_soak entry runs this under tsan.

@@ -122,8 +122,9 @@ TEST_P(ParallelMarkSweep, MatchesSerialMarking) {
   for (const rt::vaddr_t obj : objects) {
     rt::ObjectView view = jvm.View(obj);
     view.set_ref(0, objects[rng.NextBelow(objects.size())]);
-    view.set_ref(1, rng.NextBelow(3) == 0 ? 0
-                                          : objects[rng.NextBelow(objects.size())]);
+    view.set_ref(1, rng.NextBelow(3) == 0
+                        ? 0
+                        : objects[rng.NextBelow(objects.size())]);
   }
   jvm.RetireAllTlabs();
 
@@ -151,7 +152,7 @@ TEST_P(ParallelMarkSweep, MatchesSerialMarking) {
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelMarkSweep,
                          ::testing::Values(1, 2, 4, 8));
 
-// --- forwarding ---------------------------------------------------------------
+// --- forwarding --------------------------------------------------------------
 
 TEST_F(PhaseTest, ForwardingIsMonotoneAndPacked) {
   BuildGraph(300, 0.4, 2);
@@ -238,7 +239,7 @@ TEST_F(PhaseTest, EvacuateAllLivePlansEveryObject) {
   EXPECT_EQ(fwd.plan.moved_objects(), stats.live_objects);
 }
 
-// --- parallel forwarding ------------------------------------------------------
+// --- parallel forwarding -----------------------------------------------------
 
 // The region-summary pipeline must reproduce the serial plan bit for bit:
 // every forwarding slot, the live list, the per-region move lists, the
@@ -361,7 +362,7 @@ TEST_P(ParallelForwarding, HugeAlignedPlanIsBitIdenticalWithSmallRegions) {
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelForwarding,
                          ::testing::Values(1, 2, 4, 8));
 
-// --- adjust -------------------------------------------------------------------
+// --- adjust ------------------------------------------------------------------
 
 TEST_F(PhaseTest, AdjustRewritesRefsAndRootsToForwardedAddresses) {
   BuildGraph(200, 0.5, 6);
@@ -407,7 +408,7 @@ TEST_F(PhaseTest, AdjustRewritesRefsAndRootsToForwardedAddresses) {
   });
 }
 
-// --- Table I -------------------------------------------------------------------
+// --- Table I -----------------------------------------------------------------
 
 TEST(Applicability, MatchesPaperTableI) {
   using P = GcPhaseClass;

@@ -129,10 +129,10 @@ TEST_P(EvacuationSizeSweep, RoundTripsAnyObjectSize) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sizes, EvacuationSizeSweep,
-    ::testing::Values(8, 256, 4072,                    // sub-page
-                      9 * sim::kPageSize,              // just below threshold
-                      10 * sim::kPageSize,             // at threshold (incl. header)
-                      11 * sim::kPageSize - 24,        // exactly threshold pages
+    ::testing::Values(8, 256, 4072,              // sub-page
+                      9 * sim::kPageSize,        // just below threshold
+                      10 * sim::kPageSize,       // at threshold (incl. header)
+                      11 * sim::kPageSize - 24,  // exactly threshold pages
                       64 * sim::kPageSize, (4ULL << 20)));
 
 // TLB lookups racing remote flushes never return stale frames for entries

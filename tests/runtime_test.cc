@@ -134,7 +134,8 @@ TEST(Heap, WalkVisitsObjectsAndSkipsFillers) {
     allocated.push_back(addr);
   }
   std::vector<vaddr_t> walked;
-  heap.ForEachObject([&](vaddr_t addr, std::uint64_t) { walked.push_back(addr); });
+  heap.ForEachObject(
+      [&](vaddr_t addr, std::uint64_t) { walked.push_back(addr); });
   EXPECT_EQ(walked, allocated);
 }
 
@@ -147,11 +148,13 @@ TEST(Heap, TlabChunksArePageAligned) {
   EXPECT_TRUE(IsAligned(chunk, sim::kPageSize));
 }
 
-// --- TLAB ---------------------------------------------------------------------
+// --- TLAB --------------------------------------------------------------------
 
 class TlabTest : public ::testing::Test {
  protected:
-  TlabTest() : as_(sim_.machine, sim_.phys), heap_(as_, HeapConfig{.capacity = 8 << 20}) {
+  TlabTest()
+      : as_(sim_.machine, sim_.phys),
+        heap_(as_, HeapConfig{.capacity = 8 << 20}) {
     chunk_ = heap_.AllocateTlabChunk(kChunkBytes);
     tlab_.Assign(chunk_, kChunkBytes);
   }
@@ -198,11 +201,12 @@ TEST_F(TlabTest, RetireLeavesParsableGap) {
   EXPECT_FALSE(tlab_.valid());
   // Walk the whole chunk: small object, filler, large object.
   std::vector<vaddr_t> walked;
-  heap_.ForEachObject([&](vaddr_t addr, std::uint64_t) { walked.push_back(addr); });
+  heap_.ForEachObject(
+      [&](vaddr_t addr, std::uint64_t) { walked.push_back(addr); });
   EXPECT_EQ(walked, (std::vector<vaddr_t>{small, large}));
 }
 
-// --- roots ---------------------------------------------------------------------
+// --- roots -------------------------------------------------------------------
 
 TEST(RootSet, AddRemoveReusesSlots) {
   RootSet roots;
@@ -232,7 +236,7 @@ TEST(RootSet, SlotsAreWritableThroughForEach) {
   EXPECT_EQ(roots.Get(h), 0x9000u);
 }
 
-// --- Jvm ------------------------------------------------------------------------
+// --- Jvm ---------------------------------------------------------------------
 
 TEST(Jvm, NewWritesHeaderAndZeroesPayload) {
   SimBundle sim;
@@ -294,7 +298,7 @@ TEST(JvmDeathTest, EpsilonOomAborts) {
       "CHECK failed");
 }
 
-// --- heap verifier ---------------------------------------------------------------
+// --- heap verifier -----------------------------------------------------------
 
 class VerifierTest : public ::testing::Test {
  protected:

@@ -119,8 +119,10 @@ TEST(PageTable, PmdCacheInvalidatesAcross2MiBBoundary) {
   PmdCache cache;
   CycleAccount account;
   SpinLock* ptl = nullptr;
-  PageTable::UnlockPte((table.GetPteLocked(511, &ptl, account, cost, &cache), ptl));
-  PageTable::UnlockPte((table.GetPteLocked(512, &ptl, account, cost, &cache), ptl));
+  PageTable::UnlockPte(
+      (table.GetPteLocked(511, &ptl, account, cost, &cache), ptl));
+  PageTable::UnlockPte(
+      (table.GetPteLocked(512, &ptl, account, cost, &cache), ptl));
   // Two full walks: the second vpn lives under a different PMD entry.
   EXPECT_DOUBLE_EQ(account.ByKind(CostKind::kPageWalk),
                    2 * (4 * cost.pagetable_access) + 2 * cost.pte_access);

@@ -259,7 +259,7 @@ TEST_P(SwapVaTest, CostIsLinearInPages) {
   EXPECT_NEAR(per_page_small, per_page_large, per_page_small * 0.25);
 }
 
-// --- TLB coherence policies ---------------------------------------------------
+// --- TLB coherence policies --------------------------------------------------
 
 TEST_P(SwapVaTest, GlobalPolicyShootsDownOtherCores) {
   machine_.ResetCounters();

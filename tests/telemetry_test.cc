@@ -1,6 +1,6 @@
 // Telemetry subsystem tests (DESIGN.md section 8): histogram percentile
 // edge cases, registry semantics, the golden Perfetto trace_event JSON
-// round-trip, span nesting/balance invariants over real GC runs, bit-exact
+// bytes, span nesting/balance invariants over real GC runs, bit-exact
 // agreement between trace-derived phase totals and the harvested fig01
 // numbers, and counter/trace determinism across identical runs.
 #include <gtest/gtest.h>
@@ -125,69 +125,7 @@ const char kGoldenJson[] =
     "]}\n";
 
 TEST(TraceJson, GoldenFileRoundTrip) {
-  const std::vector<TraceEvent> events = GoldenEvents();
-  const std::string json = telemetry::TraceToJson(events);
-  EXPECT_EQ(json, kGoldenJson);
-
-  std::string error;
-  const auto parsed = telemetry::ParseTraceJson(json, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  ASSERT_EQ(parsed->size(), events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ((*parsed)[i], events[i]) << "event " << i;
-  }
-
-  // Serialize -> parse -> serialize is bit-identical (%.17g round-trip).
-  EXPECT_EQ(telemetry::TraceToJson(*parsed), json);
-  EXPECT_EQ(telemetry::ValidateTraceJson(json), "");
-}
-
-TEST(TraceJson, RejectsSchemaDrift) {
-  auto parse_fails = [](const std::string& text) {
-    std::string error;
-    const bool failed = !telemetry::ParseTraceJson(text, &error).has_value();
-    return failed && !error.empty();
-  };
-  const std::string event =
-      "{\"name\": \"a\", \"cat\": \"b\", \"ph\": \"X\", "
-      "\"pid\": 1, \"tid\": 0, \"ts\": 0, \"dur\": 1}";
-  const auto doc = [](const std::string& ev) {
-    return "{\"traceEvents\": [" + ev + "]}";
-  };
-  EXPECT_FALSE(parse_fails(doc(event)));  // baseline: the shape is accepted
-  EXPECT_TRUE(parse_fails(""));
-  EXPECT_TRUE(parse_fails("[]"));  // document must be an object
-  EXPECT_TRUE(parse_fails("{\"displayTimeUnit\": \"ms\"}"));  // no traceEvents
-  EXPECT_TRUE(parse_fails(doc(event) + "garbage"));
-  // Unknown keys are emitter drift, not extension points.
-  EXPECT_TRUE(parse_fails("{\"traceEvents\": [], \"surprise\": []}"));
-  EXPECT_TRUE(parse_fails(doc(
-      "{\"name\": \"a\", \"cat\": \"b\", \"ph\": \"X\", \"pid\": 1, "
-      "\"tid\": 0, \"ts\": 0, \"dur\": 1, \"args\": {}}")));
-  // Only complete spans are allowed.
-  EXPECT_TRUE(parse_fails(doc(
-      "{\"name\": \"a\", \"cat\": \"b\", \"ph\": \"B\", \"pid\": 1, "
-      "\"tid\": 0, \"ts\": 0, \"dur\": 1}")));
-  // Missing key, fractional tid, negative pid.
-  EXPECT_TRUE(parse_fails(doc(
-      "{\"name\": \"a\", \"cat\": \"b\", \"ph\": \"X\", \"pid\": 1, "
-      "\"tid\": 0, \"ts\": 0}")));
-  EXPECT_TRUE(parse_fails(doc(
-      "{\"name\": \"a\", \"cat\": \"b\", \"ph\": \"X\", \"pid\": 1, "
-      "\"tid\": 0.5, \"ts\": 0, \"dur\": 1}")));
-  EXPECT_TRUE(parse_fails(doc(
-      "{\"name\": \"a\", \"cat\": \"b\", \"ph\": \"X\", \"pid\": -1, "
-      "\"tid\": 0, \"ts\": 0, \"dur\": 1}")));
-
-  // Parses but violates the span schema: empty name, negative duration.
-  EXPECT_NE(telemetry::ValidateTraceJson(doc(
-                "{\"name\": \"\", \"cat\": \"b\", \"ph\": \"X\", \"pid\": 1, "
-                "\"tid\": 0, \"ts\": 0, \"dur\": 1}")),
-            "");
-  EXPECT_NE(telemetry::ValidateTraceJson(doc(
-                "{\"name\": \"a\", \"cat\": \"b\", \"ph\": \"X\", \"pid\": 1, "
-                "\"tid\": 0, \"ts\": 0, \"dur\": -1}")),
-            "");
+  EXPECT_EQ(telemetry::TraceToJson(GoldenEvents()), kGoldenJson);
 }
 
 TEST(TraceRecorder, WriteFileRoundTrips) {
@@ -204,11 +142,6 @@ TEST(TraceRecorder, WriteFileRoundTrips) {
   std::ostringstream text;
   text << in.rdbuf();
   EXPECT_EQ(text.str(), recorder.ToJson());
-
-  std::string error;
-  const auto parsed = telemetry::ParseTraceJson(text.str(), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(*parsed, recorder.Snapshot());
   std::remove(path.c_str());
 
   recorder.Clear();

@@ -391,7 +391,7 @@ TEST(TierGcAdvice, DensePrefixAdviceDemotesColdPages) {
       0u);
 }
 
-// --- cross-backend differential sweep under overcommit ------------------------
+// --- cross-backend differential sweep under overcommit -----------------------
 
 // The same workload + forced GC cycle per backend, with half the heap demoted
 // to the far tier: each backend's swap arm must match its own memmove arm

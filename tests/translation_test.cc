@@ -209,7 +209,8 @@ TEST(TranslationLockOrder, OrdersByAddressAndCollapsesSameLock) {
 
 constexpr sim::vaddr_t kBase = 1ULL << 33;
 
-class TranslationCounters : public ::testing::TestWithParam<TranslationBackend> {
+class TranslationCounters
+    : public ::testing::TestWithParam<TranslationBackend> {
  protected:
   std::uint64_t Ctr(const char* name) {
     return machine_.metrics().CounterValue(name);

@@ -28,8 +28,12 @@ TEST(Registry, EvaluationAndTableSetsAreRegistered) {
     for (const auto& name : WorkloadNames()) set.insert(name);
     return set;
   }();
-  for (const auto& name : TableIIWorkloads()) EXPECT_TRUE(names.count(name)) << name;
-  for (const auto& name : EvaluationWorkloads()) EXPECT_TRUE(names.count(name)) << name;
+  for (const auto& name : TableIIWorkloads()) {
+    EXPECT_TRUE(names.count(name)) << name;
+  }
+  for (const auto& name : EvaluationWorkloads()) {
+    EXPECT_TRUE(names.count(name)) << name;
+  }
   EXPECT_EQ(TableIIWorkloads().size(), 11u);   // Table II rows
   EXPECT_EQ(EvaluationWorkloads().size(), 14u);  // Fig. 11 / Table III rows
 }
