@@ -6,10 +6,14 @@
 // PTEs of N pages is O(N) pointer work while memmove is O(N * 4096) byte
 // work. Custom counters report the modeled cycles alongside.
 // BM_MemsimOnAccess times the Table III cache/DTLB model per traced line.
+// BM_FlushPageAllCores and BM_DigestHeap time the far tier's per-eviction
+// TLB invalidation and the fleet's end-of-run heap digest.
 #include <benchmark/benchmark.h>
 
 #include "memsim/hierarchy.h"
 #include "simkernel/swapva.h"
+#include "verify/differential_oracle.h"
+#include "workloads/runner.h"
 
 namespace {
 
@@ -149,6 +153,49 @@ BENCHMARK(BM_MemsimOnAccess)
     ->Arg(4 << 10)
     ->Arg(64 << 10)
     ->Arg(256 << 10);
+
+// One far-tier eviction's invalidation on a 32-core machine whose TLBs hold
+// 1024 pages of the asid on `cores` cores. The flushed vpns are never
+// cached, so every iteration sees the same TLB contents.
+void BM_FlushPageAllCores(benchmark::State& state) {
+  constexpr unsigned kCores = 32;
+  constexpr std::uint64_t kAsid = 1;
+  const auto cores = static_cast<unsigned>(state.range(0));
+  sim::Machine machine(kCores, sim::ProfileXeonGold6130());
+  for (unsigned core = 0; core < cores; ++core) {
+    for (std::uint64_t vpn = 0; vpn < 1024; ++vpn) {
+      machine.tlb(core).Insert(kAsid, vpn, vpn);
+    }
+  }
+  sim::CpuContext ctx(machine, 0);
+  std::uint64_t vpn = 1ULL << 20;
+  for (auto _ : state) machine.FlushPageAllCores(ctx, kAsid, vpn++);
+  state.counters["modeled_cycles_per_op"] =
+      ctx.account.total() / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_FlushPageAllCores)->ArgName("cached_on")->Arg(0)->Arg(1)->Arg(32);
+
+// verify::DigestHeap of one lrucache heap after 12 iterations under SVAGC.
+void BM_DigestHeap(benchmark::State& state) {
+  workloads::RunConfig config;
+  config.workload = "lrucache";
+  config.collector = workloads::CollectorKind::kSvagc;
+  sim::Machine machine(config.machine_cores, sim::ProfileXeonGold6130());
+  sim::Kernel kernel(machine);
+  sim::PhysicalMemory phys(256ULL << 20);
+  workloads::TenantBundle bundle = workloads::MakeTenant(
+      config, machine, phys, kernel, /*tenant=*/0, /*mutator_core=*/0,
+      /*gc_first_core=*/0, 1ULL << 32);
+  bundle.workload->Setup(*bundle.jvm);
+  for (int i = 0; i < 12; ++i) bundle.workload->Iterate(*bundle.jvm);
+  const rt::Heap& heap = bundle.jvm->heap();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(verify::DigestHeap(*bundle.jvm).objects.size());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(heap.top() - heap.base()));
+}
+BENCHMARK(BM_DigestHeap)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -15,28 +15,6 @@ namespace {
 
 constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
 
-// Order-sensitive FNV-1a over everything mutator-observable in the digest:
-// two fleets hash equal iff their heaps are semantically identical.
-std::uint64_t HashDigest(const verify::HeapDigest& digest) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 0x100000001b3ULL;
-  };
-  mix(digest.valid);
-  mix(digest.top);
-  for (const verify::DigestObject& obj : digest.objects) {
-    mix(obj.addr);
-    mix(obj.size);
-    mix(obj.type_id);
-    mix(obj.num_refs);
-    for (const rt::vaddr_t ref : obj.refs) mix(ref);
-    mix(obj.payload_hash);
-  }
-  for (const rt::vaddr_t root : digest.roots) mix(root);
-  return hash;
-}
-
 struct TenantState {
   unsigned id = 0;
   workloads::TenantBundle bundle;
@@ -378,7 +356,7 @@ FleetResult FleetRun::Run() {
     workloads::RunResult r =
         workloads::HarvestTenant(config_.run, machine_, t.bundle, t.ops_done);
     if (config_.digest_heaps) {
-      r.heap_digest = HashDigest(verify::DigestHeap(*t.bundle.jvm));
+      r.heap_digest = HashHeapDigest(verify::DigestHeap(*t.bundle.jvm));
     }
     r.gc_wait_cycles = t.wait_total;
     r.gc_wait_max_cycles = t.wait_max;
@@ -413,6 +391,26 @@ FleetResult FleetRun::Run() {
 FleetResult RunFleet(const FleetConfig& config) {
   FleetRun run(config);
   return run.Run();
+}
+
+std::uint64_t HashHeapDigest(const verify::HeapDigest& digest) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  auto mix = [&hash](std::uint64_t value) {
+    hash ^= value;
+    hash *= 0x100000001b3ULL;
+  };
+  mix(digest.valid);
+  mix(digest.top);
+  for (const verify::DigestObject& obj : digest.objects) {
+    mix(obj.addr);
+    mix(obj.size);
+    mix(obj.type_id);
+    mix(obj.num_refs);
+    for (const rt::vaddr_t ref : obj.refs) mix(ref);
+    mix(obj.payload_hash);
+  }
+  for (const rt::vaddr_t root : digest.roots) mix(root);
+  return hash;
 }
 
 ArbiterConfig ArbiterOff() { return ArbiterConfig{}; }

@@ -27,6 +27,10 @@
 #include "fleet/arbiter.h"
 #include "workloads/runner.h"
 
+namespace svagc::verify {
+struct HeapDigest;
+}
+
 namespace svagc::fleet {
 
 struct FleetConfig {
@@ -86,6 +90,11 @@ struct FleetResult {
 };
 
 FleetResult RunFleet(const FleetConfig& config);
+
+// The value RunFleet stores in RunResult::heap_digest: an order-sensitive
+// FNV-1a over everything mutator-observable in `digest`, so two fleets hash
+// equal iff their heaps are semantically identical.
+std::uint64_t HashHeapDigest(const verify::HeapDigest& digest);
 
 // The fig20 ablation arms.
 ArbiterConfig ArbiterOff();

@@ -1,5 +1,6 @@
 #include "simkernel/far_memory.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace svagc::sim {
@@ -13,7 +14,10 @@ std::uint64_t FarMemory::AllocSlot() {
     free_list_.pop_back();
   } else {
     slot = slots_.size();
-    slots_.push_back(std::make_unique<std::byte[]>(kPageSize));
+    // Left uninitialized: nothing reads a slot before SwapOutLocked has
+    // overwritten all of it, and the kSwapSlotWriteLost abort frees the
+    // slot unread. A reused slot holds stale bytes for the same reason.
+    slots_.push_back(std::make_unique_for_overwrite<std::byte[]>(kPageSize));
     allocated_.push_back(false);
   }
   SVAGC_DCHECK(!allocated_[slot]);
@@ -151,7 +155,7 @@ bool FarTier::SwapOutLocked(CpuContext& ctx, std::uint64_t vpn,
     clock_.NoteGone(vpn);
     return false;
   }
-  if (pins_.find(vpn) != pins_.end()) {
+  if (PinnedLocked(vpn)) {
     // Pinned under a bulk copy: stealing the frame now would tear the
     // copy's writes. Skip, and re-enter the clock (the victim scan consumed
     // this page's list entry) so a later scan can retry after the unpin.
@@ -285,19 +289,26 @@ void FarTier::Touch(std::uint64_t vpn) {
   lock_.unlock();
 }
 
+bool FarTier::PinnedLocked(std::uint64_t vpn) const {
+  return std::any_of(pins_.begin(), pins_.end(), [vpn](const PinnedRange& r) {
+    return vpn - r.vpn < r.pages;  // wraps to huge when vpn < r.vpn
+  });
+}
+
 void FarTier::PinRange(std::uint64_t vpn, std::uint64_t pages) {
   lock_.lock();
-  for (std::uint64_t i = 0; i < pages; ++i) ++pins_[vpn + i];
+  pins_.push_back(PinnedRange{vpn, pages});
   lock_.unlock();
 }
 
 void FarTier::UnpinRange(std::uint64_t vpn, std::uint64_t pages) {
   lock_.lock();
-  for (std::uint64_t i = 0; i < pages; ++i) {
-    auto it = pins_.find(vpn + i);
-    SVAGC_CHECK(it != pins_.end());
-    if (--it->second == 0) pins_.erase(it);
-  }
+  auto it = std::find_if(pins_.begin(), pins_.end(), [&](const PinnedRange& r) {
+    return r.vpn == vpn && r.pages == pages;
+  });
+  SVAGC_CHECK(it != pins_.end());
+  *it = pins_.back();
+  pins_.pop_back();
   lock_.unlock();
 }
 

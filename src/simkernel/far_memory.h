@@ -158,6 +158,8 @@ class FarTier {
   // Word-granularity raw accesses re-resolve their frame per access and are
   // assumed atomic with respect to eviction (hardware access atomicity);
   // only multi-page copies hold frame pointers long enough to need a pin.
+  // Each PinRange is one live range until the UnpinRange with the same
+  // arguments; ranges may overlap.
   void PinRange(std::uint64_t vpn, std::uint64_t pages);
   void UnpinRange(std::uint64_t vpn, std::uint64_t pages);
 
@@ -203,7 +205,13 @@ class FarTier {
   }
 
  private:
-  // Both require lock_ held.
+  struct PinnedRange {
+    std::uint64_t vpn;
+    std::uint64_t pages;
+  };
+
+  // These require lock_ held.
+  bool PinnedLocked(std::uint64_t vpn) const;
   bool SwapOutLocked(CpuContext& ctx, std::uint64_t vpn, FaultHook* hook);
   void EvictToLimitLocked(CpuContext& ctx, std::uint64_t headroom,
                           FaultHook* hook);
@@ -218,7 +226,9 @@ class FarTier {
   FarMemory far_;
   ResidencyClock clock_;
   std::uint64_t resident_ = 0;
-  std::unordered_map<std::uint64_t, std::uint32_t> pins_;  // vpn -> pin count
+  // One entry per live PinRange: at most a source and a destination range
+  // per copying thread, so a scan beats a per-page map.
+  std::vector<PinnedRange> pins_;
 
   std::atomic<std::uint64_t> faults_{0};
   std::atomic<std::uint64_t> swapins_{0};

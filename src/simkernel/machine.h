@@ -73,7 +73,9 @@ class Machine {
   // round — evictions ride the fault path, not the SwapVA shootdown path,
   // so the paper's Eq. 2 IPI accounting (IPIs are a SwapVA/fleet quantity)
   // stays untouched; the modeled cost is the invlpg work itself. The far
-  // tier, its only caller, counts these flushes ("tlb.page_flushes").
+  // tier, its only caller, counts these flushes ("tlb.page_flushes"). The
+  // charge covers every core, but only the TLBs that cache `asid` (the
+  // tenant's mutator and GC cores) scan a set on the host.
   void FlushPageAllCores(CpuContext& ctx, std::uint64_t asid,
                          std::uint64_t vpn);
 

@@ -1,10 +1,28 @@
 #include "simkernel/tlb.h"
 
+#include <algorithm>
+
 namespace svagc::sim {
+
+namespace {
+
+// Machine::NextAsid hands out ASIDs from 1 upwards, so the per-ASID counts
+// stay a short vector. A tag this large is a caller bug, not a tenant.
+constexpr std::uint64_t kMaxDenseAsid = 1ULL << 20;
+
+}  // namespace
 
 Tlb::Tlb(unsigned entries, unsigned ways)
     : sets_(entries / ways), ways_(ways), entries_(sets_ * ways_) {
   SVAGC_CHECK(sets_ >= 1 && ways_ >= 1);
+}
+
+std::uint32_t& Tlb::CountSlot(std::uint64_t asid) {
+  if (asid >= asid_entries_.size()) {
+    SVAGC_CHECK(asid < kMaxDenseAsid);
+    asid_entries_.resize(asid + 1, 0);
+  }
+  return asid_entries_[asid];
 }
 
 Tlb::LookupResult Tlb::LookupTagged(std::uint64_t asid, std::uint64_t vpn,
@@ -58,6 +76,8 @@ void Tlb::InsertTagged(std::uint64_t asid, std::uint64_t vpn, frame_t frame,
       victim = &entry;
     }
   }
+  if (victim->valid) --asid_entries_[victim->asid];
+  ++CountSlot(asid);
   *victim = Entry{true, huge, asid, vpn, frame, ++clock_};
 }
 
@@ -76,18 +96,26 @@ void Tlb::InsertHuge(std::uint64_t asid, std::uint64_t vpn,
 void Tlb::FlushAsid(std::uint64_t asid) {
   SpinLockGuard guard(lock_);
   ++flushes_;
-  for (Entry& entry : entries_) {
-    if (entry.valid && entry.asid == asid) entry.valid = false;
+  if (CountOf(asid) == 0) return;
+  std::uint32_t& count = asid_entries_[asid];
+  for (auto it = entries_.begin(); count > 0 && it != entries_.end(); ++it) {
+    if (it->valid && it->asid == asid) {
+      it->valid = false;
+      --count;
+    }
   }
 }
 
 void Tlb::FlushPage(std::uint64_t asid, std::uint64_t vpn) {
   SpinLockGuard guard(lock_);
+  if (CountOf(asid) == 0) return;
+  std::uint32_t& count = asid_entries_[asid];
   Entry* set = &entries_[SetIndex(asid, vpn) * ways_];
   for (unsigned w = 0; w < ways_; ++w) {
     Entry& entry = set[w];
     if (entry.valid && !entry.huge && entry.asid == asid && entry.vpn == vpn) {
       entry.valid = false;
+      --count;
       break;
     }
   }
@@ -100,6 +128,7 @@ void Tlb::FlushPage(std::uint64_t asid, std::uint64_t vpn) {
     if (entry.valid && entry.huge && entry.asid == asid &&
         entry.vpn == unit_vpn) {
       entry.valid = false;
+      --count;
       break;
     }
   }
@@ -116,10 +145,16 @@ std::vector<TlbSnapshotEntry> Tlb::SnapshotValidEntries() {
   return snapshot;
 }
 
+std::uint64_t Tlb::ValidEntries(std::uint64_t asid) {
+  SpinLockGuard guard(lock_);
+  return CountOf(asid);
+}
+
 void Tlb::FlushAll() {
   SpinLockGuard guard(lock_);
   ++flushes_;
   for (Entry& entry : entries_) entry.valid = false;
+  std::fill(asid_entries_.begin(), asid_entries_.end(), 0);
 }
 
 }  // namespace svagc::sim

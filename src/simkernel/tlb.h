@@ -11,6 +11,12 @@
 // vpn maps kPagesPerHuge pages (the dTLB-reach benefit of PMD leaves).
 // FlushPage of any 4 KiB vpn inside a huge-mapped unit invalidates the huge
 // entry — the shootdown granularity a real invlpg provides.
+//
+// Each TLB also counts its valid entries per ASID. A flush of an ASID the
+// TLB holds nothing of returns before touching the entry array, so the
+// far tier's per-eviction all-core invalidation and the remote half of a
+// shootdown cost host time only on the few cores that cached the tenant.
+// The modeled charges are the callers' and do not depend on the counts.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +56,7 @@ class Tlb {
   void InsertHuge(std::uint64_t asid, std::uint64_t vpn, frame_t base_frame);
 
   // Full flush of one address space's entries (CR3 switch / flush_tlb_local).
+  // Counted in flushes() even when no entry of `asid` is cached.
   void FlushAsid(std::uint64_t asid);
   // Single-page invalidation (invlpg / flush_tlb_page). Also drops the huge
   // entry covering vpn, if any — invalidation granularity must never be
@@ -61,6 +68,9 @@ class Tlb {
   // compares these against the live page table. Observation only: no cost
   // accounting, no LRU update.
   std::vector<TlbSnapshotEntry> SnapshotValidEntries();
+  // Valid entries (4 KiB and huge) tagged `asid`: the count the flush paths
+  // consult. Observation only, like SnapshotValidEntries.
+  std::uint64_t ValidEntries(std::uint64_t asid);
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
@@ -91,10 +101,19 @@ class Tlb {
   void InsertTagged(std::uint64_t asid, std::uint64_t vpn, frame_t frame,
                     bool huge);
 
+  // Both require lock_ held. ASIDs the TLB never cached count zero.
+  std::uint32_t CountOf(std::uint64_t asid) const {
+    return asid < asid_entries_.size() ? asid_entries_[asid] : 0;
+  }
+  std::uint32_t& CountSlot(std::uint64_t asid);
+
   unsigned sets_;
   unsigned ways_;
   std::vector<Entry> entries_;  // sets_ x ways_, row-major
   std::uint64_t clock_ = 0;
+  // Valid entries per ASID, indexed by the machine's dense ASIDs and grown
+  // on insert.
+  std::vector<std::uint32_t> asid_entries_;
 
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <unordered_map>
 
@@ -20,10 +21,12 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
 
-// FNV-1a over [begin, end) of the virtual address space, page chunk by page
-// chunk through the raw (uncosted) translation path.
+// FNV-1a over the 64-bit words of [begin, end) of the virtual address
+// space, page chunk by page chunk through the raw (uncosted) translation
+// path. Object payloads are whole, 8-aligned words, so every chunk is too.
 std::uint64_t HashRange(sim::AddressSpace& as, rt::vaddr_t begin,
                         rt::vaddr_t end) {
+  SVAGC_DCHECK(begin % 8 == 0 && end % 8 == 0);
   std::uint64_t hash = kFnvOffset;
   rt::vaddr_t cursor = begin;
   while (cursor < end) {
@@ -31,8 +34,10 @@ std::uint64_t HashRange(sim::AddressSpace& as, rt::vaddr_t begin,
         (cursor & ~(sim::kPageSize - 1)) + sim::kPageSize;
     const std::uint64_t chunk = std::min<std::uint64_t>(page_end, end) - cursor;
     const std::byte* bytes = as.RawPtr(cursor);
-    for (std::uint64_t i = 0; i < chunk; ++i) {
-      hash ^= static_cast<std::uint64_t>(bytes[i]);
+    for (std::uint64_t i = 0; i < chunk; i += 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, bytes + i, sizeof(word));
+      hash ^= word;
       hash *= kFnvPrime;
     }
     cursor += chunk;

@@ -41,7 +41,7 @@ struct DigestObject {
   std::uint32_t type_id = 0;
   std::uint32_t num_refs = 0;
   std::vector<rt::vaddr_t> refs;
-  std::uint64_t payload_hash = 0;  // FNV-1a over the data payload
+  std::uint64_t payload_hash = 0;  // FNV-1a over the payload's words
 
   bool operator==(const DigestObject&) const = default;
 };

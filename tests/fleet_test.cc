@@ -8,7 +8,9 @@
 //   3. A fleet of one is bit-identical with the arbiter on and off — the
 //      coordination machinery is free when there is nothing to coordinate.
 //   4. SwapVA fleets and memmove fleets converge to semantically identical
-//      heaps under concurrent multi-tenant GC (differential oracle).
+//      heaps under concurrent multi-tenant GC (differential oracle), and the
+//      heap digest those comparisons rest on sees a one-byte payload change
+//      in either memory tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,8 +21,11 @@
 #include <vector>
 
 #include "fleet/fleet_runner.h"
+#include "runtime/object.h"
+#include "simkernel/far_memory.h"
 #include "support/rng.h"
 #include "tests/test_util.h"
+#include "verify/differential_oracle.h"
 
 namespace svagc {
 namespace {
@@ -244,6 +249,114 @@ TEST(FleetDifferential, SwapVaMatchesMemmoveAcrossFourTenants) {
   std::uint64_t swapped = 0;
   for (const auto& r : swap.tenants) swapped += r.bytes_swapped;
   EXPECT_GT(swapped, 0u);
+}
+
+// --- heap digest sensitivity -------------------------------------------------
+
+// One lrucache tenant at fleet-overcommit's 0.7 near-tier residency, run a
+// few iterations so live payloads sit in resident and in swapped pages.
+struct DigestTenant {
+  DigestTenant() {
+    config.far_residency = 0.7;
+    bundle = workloads::MakeTenant(config, sim.machine, sim.phys, sim.kernel,
+                                   /*tenant=*/0, /*mutator_core=*/0,
+                                   /*gc_first_core=*/0, 1ULL << 32);
+    bundle.workload->Setup(*bundle.jvm);
+    for (unsigned i = 0; i < config.iterations; ++i) {
+      bundle.workload->Iterate(*bundle.jvm);
+    }
+  }
+
+  rt::Jvm& jvm() { return *bundle.jvm; }
+
+  bool Swapped(rt::vaddr_t addr) {
+    return jvm().address_space().translation().LookupPte(
+        addr >> sim::kPageShift).swapped();
+  }
+
+  // Index of the first object with a payload byte in a page that is
+  // swapped out (or resident), and that byte's address through `byte`.
+  std::size_t FindPayloadByte(const verify::HeapDigest& digest, bool swapped,
+                              rt::vaddr_t* byte) {
+    for (std::size_t i = 0; i < digest.objects.size(); ++i) {
+      const verify::DigestObject& obj = digest.objects[i];
+      const rt::vaddr_t begin =
+          obj.addr + rt::kHeaderBytes + 8ULL * obj.num_refs;
+      const rt::vaddr_t end = obj.addr + obj.size;
+      for (rt::vaddr_t page = begin; page < end;
+           page = (page | (sim::kPageSize - 1)) + 1) {
+        if (Swapped(page) == swapped) {
+          *byte = page;
+          return i;
+        }
+      }
+    }
+    return digest.objects.size();
+  }
+
+  workloads::RunConfig config = BaseRun(/*iterations=*/10);
+  SimBundle sim{config.machine_cores, 256ULL << 20};
+  workloads::TenantBundle bundle;
+};
+
+// Flips one payload byte and requires both the object's payload_hash and
+// the fleet's heap_digest of the tenant to change, and nothing else in the
+// object stream. Flipping it back restores both.
+void ExpectFlipChangesDigests(DigestTenant& tenant, bool swapped) {
+  const verify::HeapDigest before = verify::DigestHeap(tenant.jvm());
+  ASSERT_TRUE(before.valid) << before.error;
+  rt::vaddr_t byte = 0;
+  const std::size_t index = tenant.FindPayloadByte(before, swapped, &byte);
+  ASSERT_LT(index, before.objects.size())
+      << "no payload byte in a " << (swapped ? "swapped" : "resident")
+      << " page";
+  const std::uint64_t far_faults = tenant.jvm().address_space().far_tier()
+                                       ->faults();
+
+  std::byte* raw = tenant.jvm().address_space().RawPtr(byte);
+  *raw ^= std::byte{0x20};
+  const verify::HeapDigest flipped = verify::DigestHeap(tenant.jvm());
+  // The flip and the digest read the far slot in place: still swapped.
+  EXPECT_EQ(tenant.Swapped(byte), swapped);
+  EXPECT_EQ(tenant.jvm().address_space().far_tier()->faults(), far_faults);
+  ASSERT_EQ(flipped.objects.size(), before.objects.size());
+  for (std::size_t i = 0; i < before.objects.size(); ++i) {
+    if (i == index) {
+      EXPECT_NE(flipped.objects[i].payload_hash,
+                before.objects[i].payload_hash);
+    } else {
+      EXPECT_EQ(flipped.objects[i], before.objects[i]) << "object " << i;
+    }
+  }
+  EXPECT_NE(fleet::HashHeapDigest(flipped), fleet::HashHeapDigest(before));
+
+  *raw ^= std::byte{0x20};
+  const verify::HeapDigest restored = verify::DigestHeap(tenant.jvm());
+  EXPECT_EQ(verify::CompareDigests(restored, before), "");
+  EXPECT_EQ(fleet::HashHeapDigest(restored), fleet::HashHeapDigest(before));
+}
+
+TEST(FleetDigest, ResidentPayloadFlipChangesDigests) {
+  DigestTenant tenant;
+  ExpectFlipChangesDigests(tenant, /*swapped=*/false);
+}
+
+TEST(FleetDigest, SwappedPayloadFlipChangesDigests) {
+  DigestTenant tenant;
+  ASSERT_GT(tenant.jvm().address_space().far_tier()->evictions(), 0u);
+  ExpectFlipChangesDigests(tenant, /*swapped=*/true);
+}
+
+TEST(FleetDigest, IdenticalRunsHashEqual) {
+  DigestTenant a;
+  DigestTenant b;
+  const verify::HeapDigest da = verify::DigestHeap(a.jvm());
+  const verify::HeapDigest db = verify::DigestHeap(b.jvm());
+  ASSERT_TRUE(da.valid) << da.error;
+  EXPECT_FALSE(da.objects.empty());
+  EXPECT_EQ(verify::CompareDigests(da, db), "");
+  EXPECT_EQ(da.objects, db.objects);
+  EXPECT_EQ(fleet::HashHeapDigest(da), fleet::HashHeapDigest(db));
 }
 
 // --- soak --------------------------------------------------------------------

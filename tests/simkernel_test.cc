@@ -2,7 +2,9 @@
 // 4-level page table, the TLB, the machine/IPI model and the address space.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "simkernel/address_space.h"
 #include "simkernel/machine.h"
@@ -10,6 +12,7 @@
 #include "simkernel/phys_mem.h"
 #include "simkernel/tlb.h"
 #include "support/rng.h"
+#include "tests/tlb_reference.h"
 
 namespace svagc::sim {
 namespace {
@@ -189,6 +192,290 @@ TEST(Tlb, InsertRefreshesDuplicate) {
   tlb.Insert(1, 5, 10);
   tlb.Insert(1, 5, 20);
   EXPECT_EQ(tlb.Lookup(1, 5).frame, 20u);
+}
+
+// --- TLB against the reference model ----------------------------------------
+
+// Everything a TLB exposes, compared with the reference: the valid entries
+// in array order, the hit/miss/flush tallies and, for asids [0, max_asid],
+// the per-ASID count the production flush paths consult (recounted from the
+// reference's entries).
+::testing::AssertionResult MatchesReference(Tlb& tlb,
+                                            const reference::Tlb& ref,
+                                            std::uint64_t max_asid) {
+  const std::vector<TlbSnapshotEntry> got = tlb.SnapshotValidEntries();
+  const std::vector<TlbSnapshotEntry> want = ref.SnapshotValidEntries();
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " valid entries, reference " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i].asid != want[i].asid || got[i].vpn != want[i].vpn ||
+        got[i].frame != want[i].frame || got[i].huge != want[i].huge) {
+      return ::testing::AssertionFailure() << "valid entry " << i << " differs";
+    }
+  }
+  if (tlb.hits() != ref.hits() || tlb.misses() != ref.misses() ||
+      tlb.flushes() != ref.flushes()) {
+    return ::testing::AssertionFailure()
+           << "hits/misses/flushes " << tlb.hits() << "/" << tlb.misses()
+           << "/" << tlb.flushes() << ", reference " << ref.hits() << "/"
+           << ref.misses() << "/" << ref.flushes();
+  }
+  std::vector<std::uint64_t> counts(max_asid + 1, 0);
+  for (const TlbSnapshotEntry& entry : want) {
+    if (entry.asid <= max_asid) ++counts[entry.asid];
+  }
+  for (std::uint64_t asid = 0; asid <= max_asid; ++asid) {
+    if (tlb.ValidEntries(asid) != counts[asid]) {
+      return ::testing::AssertionFailure()
+             << "asid " << asid << " counts " << tlb.ValidEntries(asid)
+             << " entries, reference holds " << counts[asid];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult SameLookup(Tlb::LookupResult got,
+                                      Tlb::LookupResult want) {
+  if (got.hit == want.hit && got.frame == want.frame) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "lookup hit " << got.hit << " frame " << got.frame
+         << ", reference hit " << want.hit << " frame " << want.frame;
+}
+
+// Tenant asids 1..kDiffAsids; kStrayAsid is the wrong-asid tag of the
+// kSpuriousLocalFlush fault, which no TLB ever caches.
+constexpr std::uint64_t kDiffAsids = 5;
+constexpr std::uint64_t kStrayAsid = 1 ^ (1ULL << 63);
+
+// Picks (asid, vpn) keys: half from the recent inserts, so lookups and page
+// flushes hit, and half fresh. A recent huge insert yields any page of its
+// unit.
+struct KeyPicker {
+  struct Key {
+    std::uint64_t asid;
+    std::uint64_t vpn;
+    bool huge;
+  };
+  Rng rng;
+  std::uint64_t vpn_range;
+  std::vector<Key> recent;
+
+  Key Fresh(bool huge) {
+    const std::uint64_t asid = 1 + rng.NextBelow(kDiffAsids);
+    std::uint64_t vpn = rng.NextBelow(vpn_range);
+    if (huge) vpn &= ~kIndexMask;
+    return {asid, vpn, huge};
+  }
+  void Note(const Key& key) {
+    if (recent.size() < 64) {
+      recent.push_back(key);
+    } else {
+      recent[rng.NextBelow(recent.size())] = key;
+    }
+  }
+  Key Probe() {
+    if (recent.empty() || rng.NextBelow(2) == 0) return Fresh(false);
+    Key key = recent[rng.NextBelow(recent.size())];
+    if (key.huge) key.vpn += rng.NextBelow(kPagesPerHuge);
+    return key;
+  }
+};
+
+// The op mix, in parts per 10000; the remainder are lookups.
+struct TlbOpMix {
+  unsigned flush_asid;
+  unsigned flush_all;
+};
+
+void RandomOpsMatchReference(unsigned entries, unsigned ways,
+                             std::uint64_t vpn_range, TlbOpMix mix,
+                             std::uint64_t seed) {
+  Tlb tlb(entries, ways);
+  reference::Tlb ref(entries, ways);
+  KeyPicker keys{Rng(seed), vpn_range, {}};
+  Rng& rng = keys.rng;
+  for (int op = 0; op < 12000; ++op) {
+    const std::uint64_t dice = rng.NextBelow(10000);
+    if (dice < 3500) {
+      const KeyPicker::Key key = keys.Fresh(/*huge=*/false);
+      const frame_t frame = rng.NextBelow(1 << 20);
+      tlb.Insert(key.asid, key.vpn, frame);
+      ref.Insert(key.asid, key.vpn, frame);
+      keys.Note(key);
+    } else if (dice < 4200) {
+      const KeyPicker::Key key = keys.Fresh(/*huge=*/true);
+      const frame_t frame = rng.NextBelow(1 << 20) << kLevelBits;
+      tlb.InsertHuge(key.asid, key.vpn, frame);
+      ref.InsertHuge(key.asid, key.vpn, frame);
+      keys.Note(key);
+    } else if (dice < 6000) {
+      const KeyPicker::Key key = keys.Probe();
+      tlb.FlushPage(key.asid, key.vpn);
+      ref.FlushPage(key.asid, key.vpn);
+    } else if (dice < 6100) {
+      const std::uint64_t vpn = rng.NextBelow(vpn_range);
+      tlb.FlushPage(kStrayAsid, vpn);
+      ref.FlushPage(kStrayAsid, vpn);
+    } else if (dice < 6100 + mix.flush_asid) {
+      const std::uint64_t asid =
+          rng.NextBelow(8) == 0 ? kStrayAsid : 1 + rng.NextBelow(kDiffAsids);
+      tlb.FlushAsid(asid);
+      ref.FlushAsid(asid);
+    } else if (dice < 6100 + mix.flush_asid + mix.flush_all) {
+      tlb.FlushAll();
+      ref.FlushAll();
+    } else {
+      const KeyPicker::Key key = keys.Probe();
+      ASSERT_TRUE(SameLookup(tlb.Lookup(key.asid, key.vpn),
+                             ref.Lookup(key.asid, key.vpn)))
+          << "op " << op;
+    }
+    ASSERT_TRUE(MatchesReference(tlb, ref, kDiffAsids)) << "op " << op;
+  }
+  // Valid victims were replaced, so the LRU path moved counts between asids.
+  EXPECT_GT(ref.replacements(), 0u);
+}
+
+// Seeded random Insert/InsertHuge/Lookup/FlushPage/FlushAsid/FlushAll
+// sequences over five asids. The full-size TLB flushes rarely, so that it
+// fills and replaces valid entries like the small ones. After every call
+// the production TLB must equal the reference.
+TEST(TlbDifferential, RandomOpsMatchReference) {
+  struct Geometry {
+    unsigned entries;
+    unsigned ways;
+    std::uint64_t vpn_range;
+    TlbOpMix mix;
+  };
+  const Geometry geometries[] = {{4, 4, 64, {700, 100}},
+                                 {64, 4, 512, {700, 100}},
+                                 {1536, 12, 1 << 14, {5, 1}}};
+  for (const Geometry& geometry : geometries) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(::testing::Message() << geometry.entries << "x"
+                                        << geometry.ways << " seed " << seed);
+      RandomOpsMatchReference(geometry.entries, geometry.ways,
+                              geometry.vpn_range, geometry.mix, seed);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// The Machine's flush entry points on 32 cores, each core's TLB mirrored by
+// a reference TLB. Asids 1-4 are tenants cached on their mutator core and
+// two GC cores, asid 5 on all 32 cores and asid 6 on none, so flushes meet
+// asids cached on no core, a few and all 32. After every call all 32 TLBs must
+// equal their references, and the modeled charges, IPI counters and
+// disturbance must be the same as when every core scanned.
+TEST(TlbDifferential, MachineFlushesMatchReference) {
+  constexpr unsigned kCores = 32;
+  constexpr std::uint64_t kEverywhere = 5;
+  constexpr std::uint64_t kNowhere = 6;
+  Machine machine(kCores, ProfileXeonGold6130());
+  const CostProfile& cost = machine.cost();
+  std::vector<reference::Tlb> refs(kCores);
+  std::vector<CpuContext> contexts;
+  contexts.reserve(kCores);
+  for (unsigned core = 0; core < kCores; ++core) {
+    contexts.emplace_back(machine, core);
+  }
+  const auto cores_of = [&](std::uint64_t asid) -> std::vector<unsigned> {
+    if (asid == kEverywhere) {
+      std::vector<unsigned> all(kCores);
+      for (unsigned core = 0; core < kCores; ++core) all[core] = core;
+      return all;
+    }
+    const auto t = static_cast<unsigned>(asid - 1);
+    return {t, 8 + 2 * t, 9 + 2 * t};  // mutator core, two GC cores
+  };
+
+  std::vector<double> want_page(kCores, 0), want_ipi(kCores, 0);
+  std::vector<std::uint64_t> want_disturbance(kCores, 0);
+  std::uint64_t want_sent = 0, want_broadcasts = 0;
+  const auto remote_round = [&](unsigned sender, std::uint64_t disturbance) {
+    ++want_broadcasts;
+    for (unsigned core = 0; core < kCores; ++core) {
+      if (core == sender) continue;
+      want_ipi[sender] += cost.ipi_send;
+      ++want_sent;
+      want_disturbance[core] += disturbance;
+    }
+  };
+
+  Rng rng(17);
+  for (int op = 0; op < 1500; ++op) {
+    const std::uint64_t dice = rng.NextBelow(100);
+    const auto sender = static_cast<unsigned>(rng.NextBelow(kCores));
+    CpuContext& ctx = contexts[sender];
+    if (dice < 45) {
+      const std::uint64_t asid = 1 + rng.NextBelow(kEverywhere);
+      const std::vector<unsigned> cores = cores_of(asid);
+      const unsigned core = cores[rng.NextBelow(cores.size())];
+      const std::uint64_t vpn = rng.NextBelow(256);
+      const frame_t frame = rng.NextBelow(1 << 20);
+      machine.tlb(core).Insert(asid, vpn, frame);
+      refs[core].Insert(asid, vpn, frame);
+    } else if (dice < 60) {
+      const std::uint64_t asid = 1 + rng.NextBelow(kNowhere);
+      const std::uint64_t vpn = rng.NextBelow(256);
+      for (unsigned core = 0; core < kCores; ++core) {
+        ASSERT_TRUE(SameLookup(machine.tlb(core).Lookup(asid, vpn),
+                               refs[core].Lookup(asid, vpn)))
+            << "op " << op << " core " << core;
+      }
+    } else if (dice < 85) {
+      const std::uint64_t asid = 1 + rng.NextBelow(kNowhere);
+      const std::uint64_t vpn = rng.NextBelow(256);
+      machine.FlushPageAllCores(ctx, asid, vpn);
+      for (reference::Tlb& ref : refs) ref.FlushPage(asid, vpn);
+      want_page[sender] += cost.tlb_flush_page * kCores;
+    } else if (dice < 93) {
+      const std::uint64_t asid = 1 + rng.NextBelow(kNowhere);
+      machine.SendTlbShootdown(ctx, asid);
+      for (unsigned core = 0; core < kCores; ++core) {
+        if (core != sender) refs[core].FlushAsid(asid);
+      }
+      remote_round(sender, static_cast<std::uint64_t>(cost.ipi_handle +
+                                                      cost.tlb_flush_local));
+    } else {
+      std::vector<std::uint64_t> asids;
+      for (std::uint64_t asid = 1; asid <= kNowhere; ++asid) {
+        if (rng.NextBelow(2) == 0) asids.push_back(asid);
+      }
+      machine.SendTlbShootdownMulti(ctx, asids);
+      if (!asids.empty()) {
+        for (unsigned core = 0; core < kCores; ++core) {
+          if (core == sender) continue;
+          for (const std::uint64_t asid : asids) refs[core].FlushAsid(asid);
+        }
+        remote_round(sender, static_cast<std::uint64_t>(
+                                 cost.ipi_handle +
+                                 cost.tlb_flush_local *
+                                     static_cast<double>(asids.size())));
+      }
+    }
+    for (unsigned core = 0; core < kCores; ++core) {
+      ASSERT_TRUE(MatchesReference(machine.tlb(core), refs[core], kNowhere))
+          << "op " << op << " core " << core;
+      ASSERT_EQ(contexts[core].account.ByKind(CostKind::kTlbFlushPage),
+                want_page[core]);
+      ASSERT_EQ(contexts[core].account.ByKind(CostKind::kIpi),
+                want_ipi[core]);
+      ASSERT_EQ(machine.DisturbanceCycles(core), want_disturbance[core]);
+    }
+    ASSERT_EQ(machine.metrics().CounterValue("ipi.sent"), want_sent);
+    ASSERT_EQ(machine.metrics().CounterValue("ipi.broadcasts"),
+              want_broadcasts);
+  }
+  // The sequence reached every case the counts short-circuit on.
+  EXPECT_GT(want_broadcasts, 0u);
+  for (unsigned core = 0; core < kCores; ++core) {
+    EXPECT_EQ(machine.tlb(core).ValidEntries(kNowhere), 0u);
+  }
 }
 
 // --- machine ----------------------------------------------------------------
