@@ -7,7 +7,8 @@
 // work. Custom counters report the modeled cycles alongside.
 // BM_MemsimOnAccess times the Table III cache/DTLB model per traced line.
 // BM_FlushPageAllCores and BM_DigestHeap time the far tier's per-eviction
-// TLB invalidation and the fleet's end-of-run heap digest.
+// TLB invalidation and the fleet's end-of-run heap digest. BM_ZeroBytes
+// times allocation zeroing over known-zero and over written frames.
 #include <benchmark/benchmark.h>
 
 #include "memsim/hierarchy.h"
@@ -86,6 +87,31 @@ void BM_Memmove(benchmark::State& state) {
       ctx.account.total() / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_Memmove)->Arg(1)->Arg(10)->Arg(64)->Arg(256);
+
+// Allocation zeroing of 256 KiB. dirty=0: a previous pass left every frame
+// known zero, so only the modeled charge and the per-page lookup remain.
+// dirty=1: one WriteWord per page (timed with the pass) dirties every frame
+// first, so every page is memset.
+void BM_ZeroBytes(benchmark::State& state) {
+  Fixture f;
+  const bool dirty = state.range(0) != 0;
+  const std::uint64_t bytes = 64ULL << sim::kPageShift;
+  sim::CpuContext ctx(f.machine, 0);
+  f.as.ZeroBytes(ctx, Fixture::kBase, bytes);
+  for (auto _ : state) {
+    if (dirty) {
+      for (std::uint64_t off = 0; off < bytes; off += sim::kPageSize) {
+        f.as.WriteWord(Fixture::kBase + off, off + 1);
+      }
+    }
+    f.as.ZeroBytes(ctx, Fixture::kBase, bytes);
+    benchmark::DoNotOptimize(f.as.RawPtr(Fixture::kBase));
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_ZeroBytes)->ArgName("dirty")->Arg(0)->Arg(1);
 
 void BM_SwapVaOverlap(benchmark::State& state) {
   Fixture f;

@@ -53,7 +53,7 @@ void RestoreHeap(Jvm& jvm, const HeapSnapshot& snapshot) {
   sim::AddressSpace& as = jvm.address_space();
   ForEachPageChunk(snapshot.base, snapshot.top,
                    [&](vaddr_t vaddr, std::uint64_t chunk) {
-                     std::memcpy(as.RawPtr(vaddr),
+                     std::memcpy(as.RawWritePtr(vaddr),
                                  snapshot.bytes.data() +
                                      (vaddr - snapshot.base),
                                  chunk);

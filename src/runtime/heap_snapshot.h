@@ -3,8 +3,9 @@
 // SnapshotHeap captures the allocated prefix [base, top) byte-for-byte plus
 // the root set; RestoreHeap writes it all back, so the same pre-GC heap can
 // be collected twice — once per collector under comparison — from an
-// identical starting state. The copy goes through RawPtr, so it is harness
-// bookkeeping: no simulated cycles are charged and no TLB state changes.
+// identical starting state. The copy goes through RawPtr and RawWritePtr,
+// so it is harness bookkeeping: no simulated cycles are charged and no TLB
+// state changes.
 #pragma once
 
 #include <cstdint>

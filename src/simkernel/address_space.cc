@@ -101,9 +101,8 @@ void AddressSpace::EnsureResident(CpuContext& ctx, vaddr_t vaddr,
   }
 }
 
-std::byte* AddressSpace::HwPtr(CpuContext& ctx, vaddr_t vaddr) {
+frame_t AddressSpace::HwFrame(CpuContext& ctx, vaddr_t vaddr) {
   const std::uint64_t vpn = vaddr >> kPageShift;
-  const std::uint64_t offset = vaddr & (kPageSize - 1);
   Tlb& tlb = machine_.tlb(ctx.core_id);
   const auto result = tlb.Lookup(asid_, vpn);
   frame_t frame;
@@ -135,25 +134,29 @@ std::byte* AddressSpace::HwPtr(CpuContext& ctx, vaddr_t vaddr) {
     }
   }
   if (far_tier_ != nullptr) far_tier_->Touch(vpn);
-  return phys_.FrameData(frame) + offset;
+  return frame;
 }
 
-std::byte* AddressSpace::RawPtr(vaddr_t vaddr) const {
-  const std::uint64_t vpn = vaddr >> kPageShift;
-  const auto frame = table_->Lookup(vpn);
-  if (!frame.has_value() && far_tier_ != nullptr) {
-    // Uncosted read-through to the far tier: harness-internal readers
-    // (heap digests, snapshot/restore, the verifier) observe identical
-    // bytes whether a page is resident or swapped — residency is a
-    // performance state, never a semantic one.
-    const Pte pte = table_->LookupPte(vpn);
-    if (pte.swapped()) {
-      return far_tier_->SlotBytes(pte.swap_slot()) + (vaddr & (kPageSize - 1));
-    }
-  }
-  SVAGC_CHECK(frame.has_value());
-  return const_cast<PhysicalMemory&>(phys_).FrameData(*frame) +
-         (vaddr & (kPageSize - 1));
+const std::byte* AddressSpace::RawPtr(vaddr_t vaddr) const {
+  const auto frame = table_->Lookup(vaddr >> kPageShift);
+  if (!frame.has_value()) return SwappedBytes(vaddr);
+  return phys_.FrameData(*frame) + (vaddr & (kPageSize - 1));
+}
+
+std::byte* AddressSpace::RawWritePtr(vaddr_t vaddr) {
+  const auto frame = table_->Lookup(vaddr >> kPageShift);
+  if (!frame.has_value()) return SwappedBytes(vaddr);
+  return phys_.WritableFrameData(*frame) + (vaddr & (kPageSize - 1));
+}
+
+std::byte* AddressSpace::SwappedBytes(vaddr_t vaddr) const {
+  // Uncosted read-through to the far tier: harness-internal readers
+  // (heap digests, snapshot/restore, the verifier) observe identical
+  // bytes whether a page is resident or swapped — residency is a
+  // performance state, never a semantic one.
+  const Pte pte = table_->LookupPte(vaddr >> kPageShift);
+  SVAGC_CHECK(far_tier_ != nullptr && pte.swapped());
+  return far_tier_->SlotBytes(pte.swap_slot()) + (vaddr & (kPageSize - 1));
 }
 
 namespace {
@@ -239,7 +242,7 @@ void AddressSpace::CopyBytes(CpuContext& ctx, vaddr_t dst, vaddr_t src,
       const std::uint64_t s_room = kPageSize - (s & (kPageSize - 1));
       const std::uint64_t d_room = kPageSize - (d & (kPageSize - 1));
       chunk = std::min({remaining, s_room, d_room});
-      std::memmove(RawPtr(d), RawPtr(s), chunk);
+      std::memmove(RawWritePtr(d), RawPtr(s), chunk);
       phys_.NoteBytesWritten(chunk);
       s += chunk;
       d += chunk;
@@ -250,7 +253,7 @@ void AddressSpace::CopyBytes(CpuContext& ctx, vaddr_t dst, vaddr_t src,
       chunk = std::min({remaining, s_room, d_room});
       s -= chunk;
       d -= chunk;
-      std::memmove(RawPtr(d), RawPtr(s), chunk);
+      std::memmove(RawWritePtr(d), RawPtr(s), chunk);
       phys_.NoteBytesWritten(chunk);
     }
     remaining -= chunk;
@@ -276,9 +279,19 @@ void AddressSpace::ZeroBytes(CpuContext& ctx, vaddr_t dst,
   std::uint64_t remaining = bytes;
   vaddr_t d = dst;
   while (remaining > 0) {
-    const std::uint64_t room = kPageSize - (d & (kPageSize - 1));
-    const std::uint64_t chunk = std::min(remaining, room);
-    std::memset(RawPtr(d), 0, chunk);
+    const std::uint64_t offset = d & (kPageSize - 1);
+    const std::uint64_t chunk = std::min(remaining, kPageSize - offset);
+    // The pin and EnsureResident keep every page of the range resident.
+    const std::optional<frame_t> frame = table_->Lookup(d >> kPageShift);
+    SVAGC_CHECK(frame.has_value());
+    if (phys_.KnownZero(*frame)) {
+      SVAGC_DCHECK(std::all_of(phys_.FrameData(*frame) + offset,
+                               phys_.FrameData(*frame) + offset + chunk,
+                               [](std::byte b) { return b == std::byte{0}; }));
+    } else {
+      std::memset(phys_.WritableFrameData(*frame) + offset, 0, chunk);
+      if (chunk == kPageSize) phys_.MarkKnownZero(*frame);
+    }
     phys_.NoteBytesWritten(chunk);
     d += chunk;
     remaining -= chunk;

@@ -59,11 +59,18 @@ class AddressSpace {
   // TLB-accounted translation: models what the hardware does on the given
   // core. Debug builds assert the TLB entry matches the live page table, so
   // a missing shootdown is a hard failure, not silent corruption.
-  std::byte* HwPtr(CpuContext& ctx, vaddr_t vaddr);
+  const std::byte* HwPtr(CpuContext& ctx, vaddr_t vaddr) {
+    return phys_.FrameData(HwFrame(ctx, vaddr)) + (vaddr & (kPageSize - 1));
+  }
 
   // Uncosted translation for harness-internal work (verifier, tests, object
-  // construction bookkeeping).
-  std::byte* RawPtr(vaddr_t vaddr) const;
+  // construction bookkeeping). Read-only: writes go through WriteWord or
+  // RawWritePtr, which keep the frame's known-zero flag honest.
+  const std::byte* RawPtr(vaddr_t vaddr) const;
+  // Uncosted writable translation, valid up to the end of vaddr's page. A
+  // resident page's frame stops being known zero; a swapped page's bytes
+  // are its far slot, and SwapIn clears the flag of the frame it fills.
+  std::byte* RawWritePtr(vaddr_t vaddr);
 
   // 8-byte-aligned word access. Word accesses never straddle pages because
   // the page size is a multiple of 8 and addresses are 8-aligned; the
@@ -74,7 +81,7 @@ class AddressSpace {
   }
   void WriteWord(vaddr_t vaddr, std::uint64_t value) {
     SVAGC_DCHECK((vaddr & 7) == 0);
-    *reinterpret_cast<std::uint64_t*>(RawPtr(vaddr)) = value;
+    *reinterpret_cast<std::uint64_t*>(RawWritePtr(vaddr)) = value;
   }
 
   // TLB-accounted word access for mutator code paths.
@@ -86,7 +93,9 @@ class AddressSpace {
   void WriteWordHw(CpuContext& ctx, vaddr_t vaddr, std::uint64_t value) {
     SVAGC_DCHECK((vaddr & 7) == 0);
     if (trace_ != nullptr) trace_->OnAccess(vaddr, 8, /*is_write=*/true);
-    *reinterpret_cast<std::uint64_t*>(HwPtr(ctx, vaddr)) = value;
+    *reinterpret_cast<std::uint64_t*>(
+        phys_.WritableFrameData(HwFrame(ctx, vaddr)) +
+        (vaddr & (kPageSize - 1))) = value;
   }
 
   // Cache residency assumption for bulk-copy cost. kAuto decides by the
@@ -102,7 +111,9 @@ class AddressSpace {
   void CopyBytes(CpuContext& ctx, vaddr_t dst, vaddr_t src, std::uint64_t bytes,
                  CopyLocality locality = CopyLocality::kAuto);
 
-  // Zeroes a range (allocation-time init); charged as kAlloc.
+  // Zeroes a range (allocation-time init); charged as kAlloc. The charge,
+  // trace access and write tally cover every byte, but the host memset
+  // skips frames already known zero (PhysicalMemory::KnownZero).
   void ZeroBytes(CpuContext& ctx, vaddr_t dst, std::uint64_t bytes);
 
   // Models a mutator streaming pass over [vaddr, vaddr+bytes): charges
@@ -135,6 +146,13 @@ class AddressSpace {
   void EnsureResident(CpuContext& ctx, vaddr_t vaddr, std::uint64_t bytes);
 
  private:
+  // The frame behind HwPtr: TLB lookup, or a charged walk and refill that
+  // faults a swapped page in first.
+  frame_t HwFrame(CpuContext& ctx, vaddr_t vaddr);
+  // The far-slot bytes behind a non-present vaddr; aborts unless the page
+  // is swapped out.
+  std::byte* SwappedBytes(vaddr_t vaddr) const;
+
   Machine& machine_;
   PhysicalMemory& phys_;
   const std::uint64_t asid_;  // before table_: the hashed backend seeds on it

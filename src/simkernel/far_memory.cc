@@ -184,7 +184,7 @@ bool FarTier::SwapOutLocked(CpuContext& ctx, std::uint64_t vpn,
   phys_.NoteBytesWritten(kPageSize);
   far_bytes_written_.fetch_add(kPageSize, std::memory_order_relaxed);
   ctr_far_bytes_.Add(kPageSize);
-  *ref.slot = Pte::MakeSwapped(slot);
+  ref.slot->StoreRelease(Pte::MakeSwapped(slot));
   ref.lock->unlock();
 
   phys_.FreeFrame(frame);
@@ -254,7 +254,7 @@ void FarTier::SwapIn(CpuContext& ctx, std::uint64_t vpn, FaultHook* hook) {
 
   const frame_t frame = phys_.AllocFrame();
   SVAGC_CHECK(far_.IsAllocated(slot));
-  std::memcpy(phys_.FrameData(frame), far_.SlotData(slot), kPageSize);
+  std::memcpy(phys_.WritableFrameData(frame), far_.SlotData(slot), kPageSize);
   ctx.account.Charge(CostKind::kFarRead,
                      machine_.cost().far_read_per_byte * kPageSize);
   // The frame write is near-tier traffic on the wear tally, same as the
@@ -264,7 +264,7 @@ void FarTier::SwapIn(CpuContext& ctx, std::uint64_t vpn, FaultHook* hook) {
 
   ref.lock->lock();
   SVAGC_CHECK(ref.slot->swapped() && ref.slot->swap_slot() == slot);
-  *ref.slot = Pte::Make(frame);
+  ref.slot->StoreRelease(Pte::Make(frame));
   ref.lock->unlock();
 
   clock_.NoteResident(vpn);

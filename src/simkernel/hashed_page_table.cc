@@ -184,7 +184,9 @@ std::optional<frame_t> HashedPageTable::Lookup(std::uint64_t vpn) const {
 }
 
 Pte HashedPageTable::LookupPte(std::uint64_t vpn) const {
-  if (const Node* node = Find(page_buckets_, vpn)) return node->pte;
+  if (const Node* node = Find(page_buckets_, vpn)) {
+    return node->pte.LoadAcquire();
+  }
   if (const Node* node = Find(huge_buckets_, UnitOf(vpn))) {
     // A huge-covered page is always resident; synthesize its slice.
     return Pte::Make(node->pte.frame() + (vpn & kIndexMask));

@@ -123,7 +123,7 @@ Pte PageTable::LookupPte(std::uint64_t vpn) const {
   }
   const PteTable* leaf = entry->leaf();
   if (leaf == nullptr) return Pte::Empty();
-  return leaf->entries[PteIndex(vpn)];
+  return leaf->entries[PteIndex(vpn)].LoadAcquire();
 }
 
 Translation::PteRef PageTable::LeafSlotRaw(std::uint64_t vpn) {
@@ -176,8 +176,7 @@ PteTable* PageTable::SplitHugeEntry(PmdEntry& entry) {
   }
   // Publish the filled table before clearing the huge word (see PmdEntry).
   entry.table.store(leaf, std::memory_order_release);
-  std::atomic_ref<std::uint64_t>(entry.huge.value)
-      .store(Pte::Empty().value, std::memory_order_release);
+  entry.huge.StoreRelease(Pte::Empty());
   return leaf;
 }
 

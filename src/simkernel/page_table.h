@@ -52,11 +52,7 @@ struct PmdEntry {
   ~PmdEntry() { delete table.load(std::memory_order_relaxed); }
 
   PteTable* leaf() const { return table.load(std::memory_order_acquire); }
-  Pte huge_leaf() const {
-    return Pte{std::atomic_ref<std::uint64_t>(
-                   const_cast<std::uint64_t&>(huge.value))
-                   .load(std::memory_order_acquire)};
-  }
+  Pte huge_leaf() const { return huge.LoadAcquire(); }
 
   std::atomic<PteTable*> table{nullptr};  // owned
   Pte huge = Pte::Empty();

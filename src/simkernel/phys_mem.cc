@@ -9,7 +9,9 @@ namespace svagc::sim {
 
 PhysicalMemory::PhysicalMemory(std::uint64_t bytes)
     : total_frames_(CeilDiv(bytes, kPageSize)),
-      backing_(new std::byte[total_frames_ << kPageShift]) {
+      backing_(new std::byte[total_frames_ << kPageShift]),
+      known_zero_(
+          std::make_unique<std::atomic<std::uint8_t>[]>(total_frames_)) {
   SVAGC_CHECK(total_frames_ > 0);
   free_list_.reserve(total_frames_);
   // Push in reverse so the first allocations get the lowest frame numbers;

@@ -36,13 +36,38 @@ class PhysicalMemory {
   // run exists. Freed frame-by-frame with FreeFrame.
   frame_t AllocContiguous(std::uint64_t count);
 
-  std::byte* FrameData(frame_t frame) {
-    SVAGC_DCHECK(frame < total_frames_);
-    return backing_.get() + (frame << kPageShift);
-  }
+  // Read-only view of a frame's bytes.
   const std::byte* FrameData(frame_t frame) const {
     SVAGC_DCHECK(frame < total_frames_);
     return backing_.get() + (frame << kPageShift);
+  }
+  // The only writable view of a frame: the caller is about to write its
+  // bytes, so the frame stops being known zero.
+  std::byte* WritableFrameData(frame_t frame) {
+    SVAGC_DCHECK(frame < total_frames_);
+    std::atomic<std::uint8_t>& flag = known_zero_[frame];
+    // Load first: most writes land on frames already written, and a store
+    // would dirty a flag cache line other cores read.
+    if (flag.load(std::memory_order_relaxed) != 0) {
+      flag.store(0, std::memory_order_relaxed);
+    }
+    return backing_.get() + (frame << kPageShift);
+  }
+
+  // Known-zero frames, a host-only shortcut: a flagged frame holds only
+  // zero bytes, so zeroing it again may skip the host memset (never the
+  // modeled charge). Every frame starts unflagged, because the backing is
+  // indeterminate; WritableFrameData clears the flag, and only a caller
+  // that has just zeroed the whole frame sets it. Relaxed ordering
+  // suffices: whatever orders two accesses to the same bytes (the
+  // collectors' own synchronization) orders their flag accesses too.
+  bool KnownZero(frame_t frame) const {
+    SVAGC_DCHECK(frame < total_frames_);
+    return known_zero_[frame].load(std::memory_order_relaxed) != 0;
+  }
+  void MarkKnownZero(frame_t frame) {
+    SVAGC_DCHECK(frame < total_frames_);
+    known_zero_[frame].store(1, std::memory_order_relaxed);
   }
 
   std::uint64_t total_frames() const { return total_frames_; }
@@ -62,6 +87,7 @@ class PhysicalMemory {
  private:
   std::uint64_t total_frames_;
   std::unique_ptr<std::byte[]> backing_;
+  std::unique_ptr<std::atomic<std::uint8_t>[]> known_zero_;  // one per frame
 
   mutable SpinLock lock_;
   std::vector<frame_t> free_list_;

@@ -28,6 +28,7 @@
 // instantiated per-AddressSpace by MakeTranslation.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -72,6 +73,18 @@ struct Pte {
   static Pte Make(frame_t frame) { return Pte{(frame << 1) | 1}; }
   static Pte MakeSwapped(std::uint64_t slot) { return Pte{(slot << 2) | 2}; }
   static Pte Empty() { return Pte{0}; }
+
+  // Atomic access to a leaf word in place, for words that lockless readers
+  // load: writers that flip one under its lock store with release, and the
+  // readers load with acquire.
+  Pte LoadAcquire() const {
+    std::atomic_ref<std::uint64_t> word(const_cast<std::uint64_t&>(value));
+    return Pte{word.load(std::memory_order_acquire)};
+  }
+  void StoreRelease(Pte pte) {
+    std::atomic_ref<std::uint64_t> word(value);
+    word.store(pte.value, std::memory_order_release);
+  }
 };
 
 struct PmdEntry;  // radix-backend detail (page_table.h); cached by pointer

@@ -1,5 +1,7 @@
 #include "verify/graph_digest.h"
 
+#include <algorithm>
+#include <cstring>
 #include <deque>
 #include <unordered_map>
 #include <vector>
@@ -50,10 +52,19 @@ std::uint64_t DigestReachableGraph(rt::Jvm& jvm) {
       const rt::vaddr_t target = view.ref(i);
       ref_ids.push_back(target == 0 ? 0 : id.at(target));
     }
-    payload.clear();
-    const std::uint64_t words = view.data_words();
-    for (std::uint64_t w = 0; w < words; ++w) {
-      payload.push_back(view.data_word(w));
+    // The payload one page chunk at a time: a word-by-word read would walk
+    // the page table once per word.
+    const rt::vaddr_t begin = addr + rt::kHeaderBytes + 8ULL * refs;
+    const rt::vaddr_t end = addr + view.size();
+    payload.resize((end - begin) / 8);
+    auto* out = reinterpret_cast<std::byte*>(payload.data());
+    for (rt::vaddr_t cursor = begin; cursor < end;) {
+      const rt::vaddr_t page_end =
+          (cursor & ~(sim::kPageSize - 1)) + sim::kPageSize;
+      const std::uint64_t chunk = std::min(page_end, end) - cursor;
+      std::memcpy(out, as.RawPtr(cursor), chunk);
+      out += chunk;
+      cursor += chunk;
     }
     builder.AddNode(view.type_id(), refs, ref_ids, payload);
   }

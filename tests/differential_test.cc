@@ -4,12 +4,18 @@
 // targets. A deliberate drop-move toggle proves the oracle has teeth.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <string>
 #include <tuple>
+#include <unordered_map>
+#include <vector>
 
+#include "runtime/jvm.h"
 #include "simkernel/config.h"
 #include "telemetry/metrics.h"
 #include "verify/differential_oracle.h"
+#include "verify/graph_digest.h"
+#include "workloads/runner.h"
 
 namespace svagc {
 namespace {
@@ -188,6 +194,109 @@ TEST(DifferentialOracle, DropToggleIsInertWhenIndexNeverReached) {
   EXPECT_EQ(result.moves_dropped, 0u);
   EXPECT_TRUE(result.match) << result.divergence;
 }
+
+// DigestReachableGraph as it was before it read payloads page chunk by page
+// chunk: one ObjectView::data_word per payload word. Kept as the reference
+// the chunked read must match. Counts the reachable payloads that cross a
+// page boundary into `crossing`.
+std::uint64_t WordByWordGraphDigest(rt::Jvm& jvm, std::uint64_t* crossing) {
+  sim::AddressSpace& as = jvm.address_space();
+  std::unordered_map<rt::vaddr_t, std::uint64_t> id;
+  std::vector<rt::vaddr_t> order;
+  std::deque<rt::vaddr_t> queue;
+  const auto visit = [&](rt::vaddr_t addr) -> std::uint64_t {
+    if (addr == 0) return 0;
+    const auto [it, inserted] = id.emplace(addr, order.size() + 1);
+    if (inserted) {
+      order.push_back(addr);
+      queue.push_back(addr);
+    }
+    return it->second;
+  };
+  verify::GraphDigestBuilder builder;
+  std::vector<std::uint64_t> root_ids;
+  jvm.roots().ForEachSlot(
+      [&](rt::vaddr_t& slot) { root_ids.push_back(visit(slot)); });
+  for (const std::uint64_t root : root_ids) builder.AddRoot(root);
+  while (!queue.empty()) {
+    rt::ObjectView view(as, queue.front());
+    queue.pop_front();
+    for (std::uint32_t i = 0; i < view.num_refs(); ++i) visit(view.ref(i));
+  }
+  *crossing = 0;
+  for (const rt::vaddr_t addr : order) {
+    rt::ObjectView view(as, addr);
+    std::vector<std::uint64_t> ref_ids;
+    for (std::uint32_t i = 0; i < view.num_refs(); ++i) {
+      const rt::vaddr_t target = view.ref(i);
+      ref_ids.push_back(target == 0 ? 0 : id.at(target));
+    }
+    std::vector<std::uint64_t> payload;
+    for (std::uint64_t w = 0; w < view.data_words(); ++w) {
+      payload.push_back(view.data_word(w));
+    }
+    if (!payload.empty() && (view.data_base() >> sim::kPageShift) !=
+                                ((addr + view.size() - 1) >> sim::kPageShift)) {
+      ++*crossing;
+    }
+    builder.AddNode(view.type_id(), view.num_refs(), ref_ids, payload);
+  }
+  return builder.digest();
+}
+
+class GraphDigestSweep : public ::testing::TestWithParam<std::string> {};
+
+// The page-chunk payload read folds the same words in the same order as the
+// word-by-word reference, on real workload heaps whose payloads cross page
+// boundaries. Distinct words at both ends of every payload and on both
+// sides of every page boundary make a dropped or shifted chunk change the
+// digest, even on lrucache, which never writes its payloads. A far tier
+// scatters the frames (and puts some pages in far slots), so a read that
+// runs past a page's end lands on the wrong bytes.
+TEST_P(GraphDigestSweep, PageChunkReadsMatchWordByWordReference) {
+  workloads::RunConfig config;
+  config.workload = GetParam();
+  config.heap_factor = 2.0;
+  config.gc_threads = 2;
+  config.machine_cores = 4;
+  config.far_residency = 0.7;
+  sim::Machine machine(config.machine_cores, sim::ProfileXeonGold6130());
+  sim::Kernel kernel(machine);
+  const std::uint64_t heap_bytes = static_cast<std::uint64_t>(
+      static_cast<double>(
+          workloads::MakeWorkload(config.workload)->info().min_heap_bytes) *
+      config.heap_factor);
+  sim::PhysicalMemory phys(heap_bytes + (8ULL << 20));
+  workloads::TenantBundle bundle = workloads::MakeTenant(
+      config, machine, phys, kernel, /*tenant=*/0, /*mutator_core=*/0,
+      /*gc_first_core=*/0, /*heap_base=*/1ULL << 32);
+  rt::Jvm& jvm = *bundle.jvm;
+  bundle.workload->Setup(jvm);
+  for (int i = 0; i < 5; ++i) bundle.workload->Iterate(jvm);
+
+  jvm.MakeTlabsParsable();
+  sim::AddressSpace& as = jvm.address_space();
+  jvm.heap().ForEachObject([&](rt::vaddr_t addr, std::uint64_t size) {
+    const rt::vaddr_t begin = rt::ObjectView(as, addr).data_base();
+    const rt::vaddr_t end = addr + size;
+    for (rt::vaddr_t w = begin; w < end; w += 8) {
+      if (w == begin || w + 8 == end || w % sim::kPageSize == 0 ||
+          (w + 8) % sim::kPageSize == 0) {
+        as.WriteWord(w, w * 0x9E3779B97F4A7C15ULL);
+      }
+    }
+  });
+  std::uint64_t crossing = 0;
+  const std::uint64_t reference = WordByWordGraphDigest(jvm, &crossing);
+  EXPECT_GT(crossing, 0u);
+  EXPECT_EQ(verify::DigestReachableGraph(jvm), reference);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, GraphDigestSweep, ::testing::Values("lrucache", "pagerank"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 }  // namespace
 }  // namespace svagc

@@ -313,7 +313,7 @@ void ExpectFlipChangesDigests(DigestTenant& tenant, bool swapped) {
   const std::uint64_t far_faults = tenant.jvm().address_space().far_tier()
                                        ->faults();
 
-  std::byte* raw = tenant.jvm().address_space().RawPtr(byte);
+  std::byte* raw = tenant.jvm().address_space().RawWritePtr(byte);
   *raw ^= std::byte{0x20};
   const verify::HeapDigest flipped = verify::DigestHeap(tenant.jvm());
   // The flip and the digest read the far slot in place: still swapped.

@@ -34,8 +34,8 @@ TEST(PhysicalMemory, FramesAreDistinctAndWritable) {
   const frame_t a = phys.AllocFrame();
   const frame_t b = phys.AllocFrame();
   EXPECT_NE(a, b);
-  std::memset(phys.FrameData(a), 0xAA, kPageSize);
-  std::memset(phys.FrameData(b), 0xBB, kPageSize);
+  std::memset(phys.WritableFrameData(a), 0xAA, kPageSize);
+  std::memset(phys.WritableFrameData(b), 0xBB, kPageSize);
   EXPECT_EQ(static_cast<unsigned char>(*phys.FrameData(a)), 0xAA);
   EXPECT_EQ(static_cast<unsigned char>(*phys.FrameData(b)), 0xBB);
 }
