@@ -9,6 +9,9 @@
 // BM_FlushPageAllCores and BM_DigestHeap time the far tier's per-eviction
 // TLB invalidation and the fleet's end-of-run heap digest. BM_ZeroBytes
 // times allocation zeroing over known-zero and over written frames.
+// BM_FarTierFault times one far-tier fault at the residency limit, over
+// zeroed or written pages, and BM_SwapVaTwoWorkers two threads swapping
+// disjoint ranges of one radix page table.
 #include <benchmark/benchmark.h>
 
 #include "memsim/hierarchy.h"
@@ -112,6 +115,63 @@ void BM_ZeroBytes(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_ZeroBytes)->ArgName("dirty")->Arg(0)->Arg(1);
+
+// One far-tier fault per iteration at the residency limit: 2048 mapped
+// pages, 1024 of them resident, faulted in address order, so each fault
+// evicts the page faulted 1024 faults before it (SysHandleFault sets no
+// reference bit). zero=1: every page was zeroed first, so evictions store
+// known-zero frames and faults read zero pages. zero=0: one written word
+// per page, so every eviction and fault moves a page of data.
+void BM_FarTierFault(benchmark::State& state) {
+  Fixture f;
+  constexpr std::uint64_t kPages = 2048;
+  sim::CpuContext setup(f.machine, 1);
+  if (state.range(0) != 0) {
+    f.as.ZeroBytes(setup, Fixture::kBase, kPages << sim::kPageShift);
+  } else {
+    for (std::uint64_t page = 0; page < kPages; ++page) {
+      f.as.WriteWord(Fixture::kBase + (page << sim::kPageShift), page + 1);
+    }
+  }
+  sim::FarTierConfig config;
+  config.resident_limit_pages = kPages / 2;
+  f.as.EnableFarTier(f.kernel, setup, config);
+  sim::CpuContext ctx(f.machine, 0);
+  const std::uint64_t vpn0 = Fixture::kBase >> sim::kPageShift;
+  std::uint64_t page = 0;
+  for (auto _ : state) {
+    while (!f.as.translation().LookupPte(vpn0 + page).swapped()) {
+      page = (page + 1) % kPages;
+    }
+    f.kernel.SysHandleFault(f.as, ctx, (vpn0 + page) << sim::kPageShift);
+    page = (page + 1) % kPages;
+  }
+  state.counters["modeled_cycles_per_op"] =
+      ctx.account.total() / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_FarTierFault)->ArgName("zero")->Arg(0)->Arg(1);
+
+// Two threads, as two GC workers compacting different regions: each swaps
+// its own pair of 256-page ranges of one radix address space per
+// iteration, with local-only TLB flushes. Every page resolves two leaves,
+// and the workers share only the page table and the machine.
+void BM_SwapVaTwoWorkers(benchmark::State& state) {
+  static Fixture shared;  // one address space for both threads and runs
+  constexpr std::uint64_t kPages = 256;
+  const auto worker = static_cast<unsigned>(state.thread_index());
+  const sim::vaddr_t a =
+      Fixture::kBase + ((2 * kPages * worker) << sim::kPageShift);
+  const sim::vaddr_t b = a + (kPages << sim::kPageShift);
+  sim::SwapVaOptions opts;
+  opts.tlb_policy = sim::TlbPolicy::kLocalOnly;
+  sim::CpuContext ctx(shared.machine, worker);
+  for (auto _ : state) {
+    shared.kernel.SysSwapVa(shared.as, ctx, a, b, kPages, opts);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kPages));
+}
+BENCHMARK(BM_SwapVaTwoWorkers)->Threads(2)->UseRealTime();
 
 void BM_SwapVaOverlap(benchmark::State& state) {
   Fixture f;

@@ -90,14 +90,17 @@ void AddressSpace::EnableFarTier(Kernel& kernel, CpuContext& ctx,
 }
 
 void AddressSpace::EnsureResident(CpuContext& ctx, vaddr_t vaddr,
-                                  std::uint64_t bytes) {
+                                  std::uint64_t bytes, FaultIntent intent) {
   if (far_tier_ == nullptr || bytes == 0) return;
+  const vaddr_t end = vaddr + bytes;
   const std::uint64_t vpn0 = vaddr >> kPageShift;
-  const std::uint64_t vpn1 = (vaddr + bytes - 1) >> kPageShift;
+  const std::uint64_t vpn1 = (end - 1) >> kPageShift;
   for (std::uint64_t vpn = vpn0; vpn <= vpn1; ++vpn) {
-    if (table_->LookupPte(vpn).swapped()) {
-      fault_kernel_->SysHandleFault(*this, ctx, vpn << kPageShift);
-    }
+    if (!table_->LookupPte(vpn).swapped()) continue;
+    const vaddr_t page = vpn << kPageShift;
+    const bool whole = page >= vaddr && page + kPageSize <= end;
+    fault_kernel_->SysHandleFault(*this, ctx, page,
+                                  whole ? intent : FaultIntent::kAccess);
   }
 }
 
@@ -145,11 +148,11 @@ const std::byte* AddressSpace::RawPtr(vaddr_t vaddr) const {
 
 std::byte* AddressSpace::RawWritePtr(vaddr_t vaddr) {
   const auto frame = table_->Lookup(vaddr >> kPageShift);
-  if (!frame.has_value()) return SwappedBytes(vaddr);
+  if (!frame.has_value()) return WritableSwappedBytes(vaddr);
   return phys_.WritableFrameData(*frame) + (vaddr & (kPageSize - 1));
 }
 
-std::byte* AddressSpace::SwappedBytes(vaddr_t vaddr) const {
+const std::byte* AddressSpace::SwappedBytes(vaddr_t vaddr) const {
   // Uncosted read-through to the far tier: harness-internal readers
   // (heap digests, snapshot/restore, the verifier) observe identical
   // bytes whether a page is resident or swapped — residency is a
@@ -157,6 +160,13 @@ std::byte* AddressSpace::SwappedBytes(vaddr_t vaddr) const {
   const Pte pte = table_->LookupPte(vaddr >> kPageShift);
   SVAGC_CHECK(far_tier_ != nullptr && pte.swapped());
   return far_tier_->SlotBytes(pte.swap_slot()) + (vaddr & (kPageSize - 1));
+}
+
+std::byte* AddressSpace::WritableSwappedBytes(vaddr_t vaddr) {
+  const Pte pte = table_->LookupPte(vaddr >> kPageShift);
+  SVAGC_CHECK(far_tier_ != nullptr && pte.swapped());
+  return far_tier_->WritableSlotBytes(pte.swap_slot()) +
+         (vaddr & (kPageSize - 1));
 }
 
 namespace {
@@ -264,7 +274,9 @@ void AddressSpace::ZeroBytes(CpuContext& ctx, vaddr_t dst,
                              std::uint64_t bytes) {
   if (bytes == 0) return;
   ScopedTierPin pin_dst(far_tier_.get(), dst, bytes);
-  EnsureResident(ctx, dst, bytes);
+  // Pinned first, so a page faulted in without its bytes stays resident
+  // until the loop below has zeroed it.
+  EnsureResident(ctx, dst, bytes, FaultIntent::kOverwrite);
   const CostProfile& cost = machine_.cost();
   // Zeroing streams half the traffic of a copy (write-only).
   ctx.account.Charge(CostKind::kAlloc,

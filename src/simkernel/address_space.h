@@ -69,7 +69,7 @@ class AddressSpace {
   const std::byte* RawPtr(vaddr_t vaddr) const;
   // Uncosted writable translation, valid up to the end of vaddr's page. A
   // resident page's frame stops being known zero; a swapped page's bytes
-  // are its far slot, and SwapIn clears the flag of the frame it fills.
+  // are its far slot's own, zero-filled first if the slot was a zero slot.
   std::byte* RawWritePtr(vaddr_t vaddr);
 
   // 8-byte-aligned word access. Word accesses never straddle pages because
@@ -113,7 +113,9 @@ class AddressSpace {
 
   // Zeroes a range (allocation-time init); charged as kAlloc. The charge,
   // trace access and write tally cover every byte, but the host memset
-  // skips frames already known zero (PhysicalMemory::KnownZero).
+  // skips frames already known zero (PhysicalMemory::KnownZero), and a
+  // swapped page that lies wholly inside the range faults in without its
+  // far slot's bytes (FaultIntent::kOverwrite).
   void ZeroBytes(CpuContext& ctx, vaddr_t dst, std::uint64_t bytes);
 
   // Models a mutator streaming pass over [vaddr, vaddr+bytes): charges
@@ -142,16 +144,22 @@ class AddressSpace {
   // Faults in every swapped page of [vaddr, vaddr+bytes) through the kernel
   // fault path (charging fault + far-read + any eviction's far-write). The
   // bulk paths call this so a memmove touching non-resident pages pays the
-  // full far-tier freight — exactly what a SwapVA relink avoids.
-  void EnsureResident(CpuContext& ctx, vaddr_t vaddr, std::uint64_t bytes);
+  // full far-tier freight — exactly what a SwapVA relink avoids. Under
+  // FaultIntent::kOverwrite the caller overwrites the whole range next, so
+  // pages that lie wholly inside it fault in with that intent; partly
+  // covered pages always fault in with their contents.
+  void EnsureResident(CpuContext& ctx, vaddr_t vaddr, std::uint64_t bytes,
+                      FaultIntent intent = FaultIntent::kAccess);
 
  private:
   // The frame behind HwPtr: TLB lookup, or a charged walk and refill that
   // faults a swapped page in first.
   frame_t HwFrame(CpuContext& ctx, vaddr_t vaddr);
-  // The far-slot bytes behind a non-present vaddr; aborts unless the page
-  // is swapped out.
-  std::byte* SwappedBytes(vaddr_t vaddr) const;
+  // The far-slot bytes behind a non-present vaddr, read-only or for a raw
+  // write (FarTier::SlotBytes/WritableSlotBytes); abort unless the page is
+  // swapped out.
+  const std::byte* SwappedBytes(vaddr_t vaddr) const;
+  std::byte* WritableSwappedBytes(vaddr_t vaddr);
 
   Machine& machine_;
   PhysicalMemory& phys_;

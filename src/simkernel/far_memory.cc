@@ -5,6 +5,13 @@
 
 namespace svagc::sim {
 
+namespace {
+
+// What every zero slot reads as.
+alignas(64) constexpr std::byte kZeroPage[kPageSize] = {};
+
+}  // namespace
+
 // --- FarMemory --------------------------------------------------------------
 
 std::uint64_t FarMemory::AllocSlot() {
@@ -15,26 +22,52 @@ std::uint64_t FarMemory::AllocSlot() {
   } else {
     slot = slots_.size();
     // Left uninitialized: nothing reads a slot before SwapOutLocked has
-    // overwritten all of it, and the kSwapSlotWriteLost abort frees the
-    // slot unread. A reused slot holds stale bytes for the same reason.
-    slots_.push_back(std::make_unique_for_overwrite<std::byte[]>(kPageSize));
-    allocated_.push_back(false);
+    // stored a page in it, and the kSwapSlotWriteLost abort frees the
+    // slot unread. A reused slot holds a stale page for the same reason.
+    slots_.push_back(
+        Slot{std::make_unique_for_overwrite<std::byte[]>(kPageSize)});
   }
-  SVAGC_DCHECK(!allocated_[slot]);
-  allocated_[slot] = true;
+  SVAGC_DCHECK(!slots_[slot].allocated);
+  slots_[slot].allocated = true;
   ++used_;
   return slot;
 }
 
 void FarMemory::FreeSlot(std::uint64_t slot) {
-  SVAGC_CHECK(slot < slots_.size() && allocated_[slot]);
-  allocated_[slot] = false;
+  SVAGC_CHECK(IsAllocated(slot));
+  slots_[slot].allocated = false;
   free_list_.push_back(slot);
   --used_;
 }
 
 bool FarMemory::IsAllocated(std::uint64_t slot) const {
-  return slot < slots_.size() && allocated_[slot];
+  return slot < slots_.size() && slots_[slot].allocated;
+}
+
+void FarMemory::Store(std::uint64_t slot, const std::byte* page) {
+  SVAGC_DCHECK(IsAllocated(slot));
+  std::memcpy(slots_[slot].bytes.get(), page, kPageSize);
+  slots_[slot].zero = false;
+}
+
+void FarMemory::StoreZero(std::uint64_t slot) {
+  SVAGC_DCHECK(IsAllocated(slot));
+  slots_[slot].zero = true;
+}
+
+const std::byte* FarMemory::SlotData(std::uint64_t slot) const {
+  SVAGC_DCHECK(IsAllocated(slot));
+  return slots_[slot].zero ? kZeroPage : slots_[slot].bytes.get();
+}
+
+std::byte* FarMemory::WritableSlotData(std::uint64_t slot) {
+  SVAGC_DCHECK(IsAllocated(slot));
+  Slot& s = slots_[slot];
+  if (s.zero) {
+    std::memset(s.bytes.get(), 0, kPageSize);
+    s.zero = false;
+  }
+  return s.bytes.get();
 }
 
 // --- ResidencyClock ---------------------------------------------------------
@@ -175,7 +208,13 @@ bool FarTier::SwapOutLocked(CpuContext& ctx, std::uint64_t vpn,
     clock_.NoteResident(vpn);
     return false;
   }
-  std::memcpy(far_.SlotData(slot), phys_.FrameData(frame), kPageSize);
+  // A known-zero frame is stored as a zero slot, without the host copy;
+  // the modeled far write below is charged either way.
+  if (phys_.KnownZero(frame)) {
+    far_.StoreZero(slot);
+  } else {
+    far_.Store(slot, phys_.FrameData(frame));
+  }
   ctx.account.Charge(CostKind::kFarWrite,
                      machine_.cost().far_write_per_byte * kPageSize);
   // NVM-wear accounting: the far tier is the write-limited medium, so far
@@ -234,7 +273,8 @@ bool FarTier::SwapOut(CpuContext& ctx, std::uint64_t vpn, FaultHook* hook) {
   return demoted;
 }
 
-void FarTier::SwapIn(CpuContext& ctx, std::uint64_t vpn, FaultHook* hook) {
+void FarTier::SwapIn(CpuContext& ctx, std::uint64_t vpn, FaultHook* hook,
+                     FaultIntent intent) {
   lock_.lock();
   Translation::PteRef ref = table_.LeafSlotRaw(vpn);
   SVAGC_CHECK(ref.slot != nullptr);
@@ -254,7 +294,19 @@ void FarTier::SwapIn(CpuContext& ctx, std::uint64_t vpn, FaultHook* hook) {
 
   const frame_t frame = phys_.AllocFrame();
   SVAGC_CHECK(far_.IsAllocated(slot));
-  std::memcpy(phys_.WritableFrameData(frame), far_.SlotData(slot), kPageSize);
+  // Host bytes move only where the frame's old bytes would show: under an
+  // overwrite intent the caller overwrites the whole page first, and a zero
+  // slot needs no fill on a known-zero frame. The modeled far read below is
+  // charged either way.
+  if (intent == FaultIntent::kAccess) {
+    if (!far_.KnownZero(slot)) {
+      std::memcpy(phys_.WritableFrameData(frame), far_.SlotData(slot),
+                  kPageSize);
+    } else if (!phys_.KnownZero(frame)) {
+      std::memset(phys_.WritableFrameData(frame), 0, kPageSize);
+      phys_.MarkKnownZero(frame);
+    }
+  }
   ctx.account.Charge(CostKind::kFarRead,
                      machine_.cost().far_read_per_byte * kPageSize);
   // The frame write is near-tier traffic on the wear tally, same as the
@@ -275,12 +327,12 @@ void FarTier::SwapIn(CpuContext& ctx, std::uint64_t vpn, FaultHook* hook) {
 }
 
 void FarTier::HandleFault(CpuContext& ctx, std::uint64_t vpn,
-                          FaultHook* hook) {
+                          FaultHook* hook, FaultIntent intent) {
   ctx.account.Charge(CostKind::kFault, machine_.cost().fault_entry +
                                            machine_.cost().fault_dispatch);
   faults_.fetch_add(1, std::memory_order_relaxed);
   ctr_faults_.Add();
-  SwapIn(ctx, vpn, hook);
+  SwapIn(ctx, vpn, hook, intent);
 }
 
 void FarTier::Touch(std::uint64_t vpn) {
@@ -352,9 +404,16 @@ void FarTier::SetResidentLimit(CpuContext& ctx, std::uint64_t pages,
   lock_.unlock();
 }
 
-std::byte* FarTier::SlotBytes(std::uint64_t slot) {
+const std::byte* FarTier::SlotBytes(std::uint64_t slot) const {
   lock_.lock();
-  std::byte* bytes = far_.SlotData(slot);
+  const std::byte* bytes = far_.SlotData(slot);
+  lock_.unlock();
+  return bytes;
+}
+
+std::byte* FarTier::WritableSlotBytes(std::uint64_t slot) {
+  lock_.lock();
+  std::byte* bytes = far_.WritableSlotData(slot);
   lock_.unlock();
   return bytes;
 }

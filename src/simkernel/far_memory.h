@@ -51,6 +51,12 @@
 
 namespace svagc::sim {
 
+// What a faulting access does with the page. kOverwrite: the caller
+// overwrites every byte of the page straight after the fault (allocation
+// zeroing), so the swap-in moves no host bytes into the frame. The modeled
+// charges do not depend on the intent.
+enum class FaultIntent { kAccess, kOverwrite };
+
 struct FarTierConfig {
   // Maximum resident (near-tier) pages for this address space. Pages beyond
   // the limit are demoted to the far tier; 0 means "no overcommit" and is
@@ -62,22 +68,44 @@ struct FarTierConfig {
 // The swap area: real byte storage per slot plus a free-list allocator.
 // Slot indices are dense and reused LIFO, so repeated evict/fault cycles
 // stay deterministic.
+//
+// Zero slots, a host-only shortcut like PhysicalMemory's known-zero frames:
+// a page that is known to hold only zeros is stored as a flag, not as
+// bytes, and reads back as one shared zero page. A slot's contents (bytes
+// and flag) are defined only from its Store/StoreZero until it is freed;
+// a reused slot holds stale bytes and a stale flag until the next store.
 class FarMemory {
  public:
   std::uint64_t AllocSlot();
   void FreeSlot(std::uint64_t slot);
   bool IsAllocated(std::uint64_t slot) const;
 
-  std::byte* SlotData(std::uint64_t slot) {
+  // Stores a whole page: Store copies `page` into the slot's bytes and
+  // clears the zero flag; StoreZero sets it and leaves the bytes alone.
+  void Store(std::uint64_t slot, const std::byte* page);
+  void StoreZero(std::uint64_t slot);
+
+  bool KnownZero(std::uint64_t slot) const {
     SVAGC_DCHECK(IsAllocated(slot));
-    return slots_[slot].get();
+    return slots_[slot].zero;
   }
+  // Read-only view of a slot's page; a zero slot reads as the shared zero
+  // page.
+  const std::byte* SlotData(std::uint64_t slot) const;
+  // Writable view for a write of part of the page: a zero slot first gets
+  // its own bytes zeroed and loses its flag.
+  std::byte* WritableSlotData(std::uint64_t slot);
 
   std::uint64_t used_slots() const { return used_; }
 
  private:
-  std::vector<std::unique_ptr<std::byte[]>> slots_;
-  std::vector<bool> allocated_;
+  struct Slot {
+    std::unique_ptr<std::byte[]> bytes;
+    bool allocated = false;
+    bool zero = false;  // the page is all zeros; `bytes` are stale
+  };
+
+  std::vector<Slot> slots_;
   std::vector<std::uint64_t> free_list_;
   std::uint64_t used_ = 0;
 };
@@ -140,11 +168,16 @@ class FarTier {
 
   // Promotes one swapped page: evicts victims while at the residency limit,
   // then far-reads the slot into a fresh frame and flips the PTE present.
-  void SwapIn(CpuContext& ctx, std::uint64_t vpn, FaultHook* hook);
+  // A zero slot fills the frame with a memset, or with nothing when the
+  // frame is known zero. FaultIntent::kOverwrite skips the fill for every
+  // slot and leaves the frame's old bytes for the caller to overwrite.
+  void SwapIn(CpuContext& ctx, std::uint64_t vpn, FaultHook* hook,
+              FaultIntent intent);
 
   // The userspace fault path: trap entry + lightweight-thread dispatch
   // charges, then SwapIn.
-  void HandleFault(CpuContext& ctx, std::uint64_t vpn, FaultHook* hook);
+  void HandleFault(CpuContext& ctx, std::uint64_t vpn, FaultHook* hook,
+                   FaultIntent intent);
 
   // Reference-bit hook for hardware translations.
   void Touch(std::uint64_t vpn);
@@ -177,9 +210,13 @@ class FarTier {
   // Raises or lowers the residency limit, evicting down to it immediately.
   void SetResidentLimit(CpuContext& ctx, std::uint64_t pages, FaultHook* hook);
 
-  // Direct far-tier byte access for uncosted reads (heap digests, snapshot
-  // restore): the bytes of a swapped page, by slot.
-  std::byte* SlotBytes(std::uint64_t slot);
+  // Uncosted far-tier byte access for harness-internal work, by slot:
+  // SlotBytes reads a swapped page (heap digests, the verifier), and a zero
+  // slot reads as the shared zero page. WritableSlotBytes serves a raw
+  // write into a swapped page (snapshot restore), zero-filling a zero
+  // slot's own bytes first.
+  const std::byte* SlotBytes(std::uint64_t slot) const;
+  std::byte* WritableSlotBytes(std::uint64_t slot);
 
   std::uint64_t resident_pages() const { return resident_; }
   std::uint64_t resident_limit() const { return config_.resident_limit_pages; }
@@ -188,6 +225,8 @@ class FarTier {
   bool SlotAllocated(std::uint64_t slot) const {
     return far_.IsAllocated(slot);
   }
+  // Test probe: is this slot's page stored as a zero flag, without bytes?
+  bool SlotKnownZero(std::uint64_t slot) const { return far_.KnownZero(slot); }
 
   // This tier's own tallies. They are per tenant, while the kernel.tier.*
   // counters in the machine registry sum every tenant's tier.

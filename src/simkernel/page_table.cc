@@ -227,20 +227,27 @@ Translation::PteRef PageTable::LeafForPteSwap(std::uint64_t vpn,
                                               PmdCache* cache) {
   PmdEntry* entry = WalkToPmdEntry(vpn, acct, cost, cache);
   PteRef ref;
-  // The demotion check and the split run under one lock: two swappers
-  // resolving pages of the same unit must not both split the leaf (the
-  // loser reuses the winner's PteTable, and only the winner reports
-  // split_huge, so the kernel charges the 512 entry writes once). The THP
-  // split: the kernel charges those writes after return, which keeps the
-  // charge order (walk, then split) of the pre-interface code.
-  split_lock_.lock();
-  if (entry->huge.present()) {
-    SplitHugeEntry(*entry);
-    ref.split_huge = true;
+  // Huge word first, table second, both with acquire (see PmdEntry): an
+  // entry seen with no huge leaf and a table needs no split, and its table
+  // is complete, so the common case takes only the leaf's own split PTL.
+  PteTable* leaf = nullptr;
+  if (!entry->huge_leaf().present()) leaf = entry->leaf();
+  if (leaf == nullptr) {
+    // The demotion re-check and the split run under one lock: two swappers
+    // resolving pages of the same unit must not both split the leaf (the
+    // loser reuses the winner's PteTable, and only the winner reports
+    // split_huge, so the kernel charges the 512 entry writes once). The THP
+    // split: the kernel charges those writes after return, which keeps the
+    // charge order (walk, then split) of the pre-interface code.
+    split_lock_.lock();
+    if (entry->huge.present()) {
+      SplitHugeEntry(*entry);
+      ref.split_huge = true;
+    }
+    leaf = entry->leaf();
+    split_lock_.unlock();
+    SVAGC_CHECK(leaf != nullptr);
   }
-  PteTable* leaf = entry->leaf();
-  SVAGC_CHECK(leaf != nullptr);
-  split_lock_.unlock();
   ref.slot = &leaf->entries[PteIndex(vpn)];
   ref.lock = &leaf->lock;
   return ref;

@@ -38,7 +38,8 @@ struct PteTable {
 // Exactly one of {table, huge.present()} may be set; both at once is the
 // aliasing bug CheckHugeMappingConsistency exists to catch.
 //
-// Lockless lookups (AddressSpace::RawPtr during parallel compaction) race
+// Lockless lookups (AddressSpace::RawPtr during parallel compaction, and
+// LeafForPteSwap's resolution of an entry with no huge leaf) race
 // SplitHugeEntry, which demotes a huge leaf under the page table's split
 // lock. The split fills the new table, publishes it with a release store,
 // and only then clears the huge word with another; the lockless readers
@@ -178,7 +179,8 @@ class PageTable final : public Translation {
   std::uint64_t mapped_pages_ = 0;
   // Serializes THP demotions in LeafForPteSwap: two swappers hitting pages
   // of the same huge unit race to split it, and the PMD entry has no lock of
-  // its own (the split PTL lives in the PteTable the split creates).
+  // its own (the split PTL lives in the PteTable the split creates). Taken
+  // only for entries that show a huge leaf or no table.
   SpinLock split_lock_;
 };
 

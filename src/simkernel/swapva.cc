@@ -395,10 +395,11 @@ void Kernel::SwapOverlap(AddressSpace& as, CpuContext& ctx, vaddr_t lo,
   DrainPmdTally(pc);
 }
 
-void Kernel::SysHandleFault(AddressSpace& as, CpuContext& ctx, vaddr_t vaddr) {
+void Kernel::SysHandleFault(AddressSpace& as, CpuContext& ctx, vaddr_t vaddr,
+                            FaultIntent intent) {
   FarTier* tier = as.far_tier();
   SVAGC_CHECK(tier != nullptr);
-  tier->HandleFault(ctx, vaddr >> kPageShift, fault_hook_);
+  tier->HandleFault(ctx, vaddr >> kPageShift, fault_hook_, intent);
 }
 
 std::uint64_t Kernel::SysMadviseCold(AddressSpace& as, CpuContext& ctx,

@@ -160,8 +160,10 @@ class Kernel {
   // exceptions, not syscalls) and delegates to the per-process handler,
   // which swaps the page in, evicting first when the residency limit is
   // reached. Aborts when the address space has no far tier (a swapped PTE
-  // cannot exist without one).
-  void SysHandleFault(AddressSpace& as, CpuContext& ctx, vaddr_t vaddr);
+  // cannot exist without one). `intent` tells the handler whether the
+  // faulting access overwrites the whole page (FarTier::SwapIn).
+  void SysHandleFault(AddressSpace& as, CpuContext& ctx, vaddr_t vaddr,
+                      FaultIntent intent = FaultIntent::kAccess);
 
   // madvise(MADV_COLD/MADV_PAGEOUT)-style demotion hint: demotes every
   // resident 4 KiB-mapped page of [vaddr, vaddr+bytes) to the far tier.

@@ -8,8 +8,10 @@
 // parameter.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -461,6 +463,53 @@ TEST_P(SwapVaHugeTest, RaggedTailSplitsOnlyTailUnits) {
   EXPECT_TRUE(table.LookupHuge(UnitAddr(4) >> kPageShift).has_value());
   EXPECT_FALSE(table.LookupHuge(UnitAddr(1) >> kPageShift).has_value());
   EXPECT_FALSE(table.LookupHuge(UnitAddr(5) >> kPageShift).has_value());
+  EXPECT_EQ(table.CountAliasedUnits(), 0u);
+}
+
+// Four workers race to demote the same two huge units: each swaps its own
+// pages of unit 0 with its own pages of unit 4, interleaved so that every
+// worker's first call needs both units split. Exactly one split per unit
+// may be reported, whichever worker wins it, and a worker that resolves
+// its leaf without the split lock must find the winner's complete table.
+TEST_P(SwapVaHugeTest, RacingWorkersSplitEachUnitOnce) {
+  constexpr unsigned kWorkers = 4;
+  constexpr std::uint64_t kPagesPerWorker = 32;
+  constexpr std::uint64_t kMoved = kWorkers * kPagesPerWorker;
+  for (std::uint64_t p = 0; p < kPagesPerHuge; ++p) {
+    StampPage(p, 0xA000 + p);
+    StampPage(4 * kPagesPerHuge + p, 0xB000 + p);
+  }
+  SwapVaOptions opts = opts_;
+  opts.tlb_policy = TlbPolicy::kLocalOnly;
+  std::atomic<unsigned> waiting{kWorkers};
+  std::vector<std::thread> workers;
+  for (unsigned w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      CpuContext ctx(machine_, w);
+      waiting.fetch_sub(1);
+      while (waiting.load() != 0) {
+      }
+      for (std::uint64_t i = 0; i < kPagesPerWorker; ++i) {
+        const std::uint64_t p = i * kWorkers + w;
+        EXPECT_EQ(kernel_.SysSwapVa(as_, ctx, PageAddr(p),
+                                    PageAddr(4 * kPagesPerHuge + p), 1, opts),
+                  SysStatus::kOk);
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (std::uint64_t p = 0; p < kPagesPerHuge; ++p) {
+    const bool moved = p < kMoved;
+    ASSERT_EQ(ReadPage(p), moved ? 0xB000 + p : 0xA000 + p) << p;
+    ASSERT_EQ(ReadPage(4 * kPagesPerHuge + p), moved ? 0xA000 + p : 0xB000 + p)
+        << p;
+  }
+  EXPECT_EQ(kernel_.pmd_splits(), 2u);
+  EXPECT_EQ(kernel_.pte_swaps(), kMoved);
+  Translation& table = as_.translation();
+  EXPECT_FALSE(table.LookupHuge(UnitAddr(0) >> kPageShift).has_value());
+  EXPECT_FALSE(table.LookupHuge(UnitAddr(4) >> kPageShift).has_value());
+  EXPECT_EQ(table.CountHugeLeaves(), kUnits - 2);
   EXPECT_EQ(table.CountAliasedUnits(), 0u);
 }
 

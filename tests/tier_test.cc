@@ -225,6 +225,123 @@ TEST_P(TierConformance, SwapVaRelinksSwappedEntriesWithZeroFarTraffic) {
   ExpectBijection(rig);
 }
 
+// What one eviction plus one fault of a page charged and counted.
+struct RoundTrip {
+  double far_write = 0;
+  double far_read = 0;
+  double fault = 0;
+  double total = 0;
+  std::uint64_t faults = 0;
+  std::uint64_t swapins = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t far_bytes_written = 0;
+  std::uint64_t bytes_written = 0;
+  std::uint64_t registry_faults = 0;
+  std::uint64_t registry_swapins = 0;
+  std::uint64_t registry_evictions = 0;
+  std::uint64_t registry_far_bytes = 0;
+  std::uint64_t registry_page_flushes = 0;
+  bool zero_slot = false;  // the eviction stored a flag, not bytes
+};
+
+RoundTrip EvictAndFault(TierRig& rig, std::uint64_t page,
+                        sim::FaultIntent intent) {
+  telemetry::MetricsRegistry& metrics = rig.machine.metrics();
+  const auto registry = [&](const char* name) {
+    return metrics.counter(name).value();
+  };
+  const sim::FarTier& tier = rig.tier();
+  RoundTrip before;
+  before.faults = tier.faults();
+  before.swapins = tier.swapins();
+  before.evictions = tier.evictions();
+  before.far_bytes_written = tier.far_bytes_written();
+  before.bytes_written = rig.phys.bytes_written();
+  before.registry_faults = registry("kernel.tier.faults");
+  before.registry_swapins = registry("kernel.tier.swapins");
+  before.registry_evictions = registry("kernel.tier.evictions");
+  before.registry_far_bytes = registry("kernel.tier.far_bytes_written");
+  before.registry_page_flushes = registry("tlb.page_flushes");
+
+  CpuContext ctx(rig.machine, 0);
+  const std::uint64_t vpn = (rig.base >> kPageShift) + page;
+  EXPECT_TRUE(rig.tier().SwapOut(ctx, vpn, /*hook=*/nullptr));
+  RoundTrip delta;
+  delta.zero_slot = rig.tier().SlotKnownZero(rig.PteAt(page).swap_slot());
+  rig.kernel.SysHandleFault(rig.as, ctx, vpn << kPageShift, intent);
+  EXPECT_TRUE(rig.PteAt(page).present());
+  delta.far_write = ctx.account.ByKind(CostKind::kFarWrite);
+  delta.far_read = ctx.account.ByKind(CostKind::kFarRead);
+  delta.fault = ctx.account.ByKind(CostKind::kFault);
+  delta.total = ctx.account.total();
+  delta.faults = tier.faults() - before.faults;
+  delta.swapins = tier.swapins() - before.swapins;
+  delta.evictions = tier.evictions() - before.evictions;
+  delta.far_bytes_written = tier.far_bytes_written() - before.far_bytes_written;
+  delta.bytes_written = rig.phys.bytes_written() - before.bytes_written;
+  delta.registry_faults =
+      registry("kernel.tier.faults") - before.registry_faults;
+  delta.registry_swapins =
+      registry("kernel.tier.swapins") - before.registry_swapins;
+  delta.registry_evictions =
+      registry("kernel.tier.evictions") - before.registry_evictions;
+  delta.registry_far_bytes =
+      registry("kernel.tier.far_bytes_written") - before.registry_far_bytes;
+  delta.registry_page_flushes =
+      registry("tlb.page_flushes") - before.registry_page_flushes;
+  return delta;
+}
+
+void ExpectSameCharges(const RoundTrip& a, const RoundTrip& b) {
+  EXPECT_DOUBLE_EQ(a.far_write, b.far_write);
+  EXPECT_DOUBLE_EQ(a.far_read, b.far_read);
+  EXPECT_DOUBLE_EQ(a.fault, b.fault);
+  EXPECT_DOUBLE_EQ(a.total, b.total);
+  EXPECT_EQ(a.faults, b.faults);
+  EXPECT_EQ(a.swapins, b.swapins);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.far_bytes_written, b.far_bytes_written);
+  EXPECT_EQ(a.bytes_written, b.bytes_written);
+  EXPECT_EQ(a.registry_faults, b.registry_faults);
+  EXPECT_EQ(a.registry_swapins, b.registry_swapins);
+  EXPECT_EQ(a.registry_evictions, b.registry_evictions);
+  EXPECT_EQ(a.registry_far_bytes, b.registry_far_bytes);
+  EXPECT_EQ(a.registry_page_flushes, b.registry_page_flushes);
+}
+
+// Zero slots and overwrite faults move no host bytes, and the model must
+// not see it: a known-zero page's round trip through the far tier, and a
+// data page's round trip under an overwrite intent, charge and count
+// exactly what a data page's plain round trip does.
+TEST_P(TierConformance, ZeroSlotAndOverwriteFaultChargeLikeACopy) {
+  TierRig rig(GetParam(), 8);
+  rig.Enable(8);  // everything resident: each round trip evicts only once
+  constexpr std::uint64_t kZeroPage = 2;
+  constexpr std::uint64_t kDataPage = 5;
+  CpuContext setup(rig.machine, 1);
+  rig.as.ZeroBytes(setup, rig.base + (kZeroPage << kPageShift), kPageSize);
+
+  const RoundTrip data =
+      EvictAndFault(rig, kDataPage, sim::FaultIntent::kAccess);
+  const RoundTrip zero =
+      EvictAndFault(rig, kZeroPage, sim::FaultIntent::kAccess);
+  EXPECT_FALSE(data.zero_slot);
+  EXPECT_TRUE(zero.zero_slot);
+  EXPECT_EQ(data.faults, 1u);
+  EXPECT_EQ(data.evictions, 1u);
+  EXPECT_EQ(data.far_bytes_written, kPageSize);
+  EXPECT_GT(data.far_read, 0.0);
+  ExpectSameCharges(data, zero);
+  EXPECT_EQ(rig.Tag(kDataPage), kTag + kDataPage);
+  EXPECT_EQ(rig.Tag(kZeroPage), 0u);
+
+  const RoundTrip overwrite =
+      EvictAndFault(rig, kDataPage, sim::FaultIntent::kOverwrite);
+  EXPECT_FALSE(overwrite.zero_slot);
+  ExpectSameCharges(data, overwrite);
+  ExpectBijection(rig);
+}
+
 TEST_P(TierConformance, ClockGivesTouchedPagesASecondChance) {
   TierRig rig(GetParam(), 8);
   rig.Enable(8);  // everything resident, no eviction yet
