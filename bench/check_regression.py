@@ -12,6 +12,12 @@ numbers are modeled cycles, deterministic on every host, so any change is a
 real one. The gate leaves <name>.tables.json (the entry it compared) and
 <name>.trace.json next to each binary.
 
+With --full the harnesses run at full size instead: the same checks,
+without SVAGC_BENCH_SMOKE, leaving <name>.full.tables.json and
+<name>.full.trace.json, so a full-size gate and a smoke one can share a
+bench directory. bench/BENCH_full_baseline.json holds the full-size
+entries.
+
 When a change moves a harness's output on purpose, re-record that harness
 and say why in CHANGES.md:
 
@@ -117,15 +123,16 @@ def check_trace(text):
     return len(doc["traceEvents"])
 
 
-def run_harness(bench_dir, name):
+def run_harness(bench_dir, name, full):
     """Runs one harness and returns its baseline entry."""
-    trace = os.path.join(bench_dir, f"{name}.trace.json")
+    stem = os.path.join(bench_dir, name + (".full" if full else ""))
+    trace = f"{stem}.trace.json"
     if os.path.exists(trace):
         os.remove(trace)
     env = {k: v for k, v in os.environ.items() if not k.startswith("SVAGC_")}
-    env.update(
-        SVAGC_BENCH_SMOKE="1", SVAGC_BENCH_JSON="1", SVAGC_TRACE_OUT=trace
-    )
+    env.update(SVAGC_BENCH_JSON="1", SVAGC_TRACE_OUT=trace)
+    if not full:
+        env.update(SVAGC_BENCH_SMOKE="1")
     proc = subprocess.run(
         [os.path.join(bench_dir, name)],
         env=env,
@@ -141,7 +148,7 @@ def run_harness(bench_dir, name):
     if os.path.exists(trace):
         with open(trace) as f:
             entry["trace_events"] = check_trace(f.read())
-    with open(os.path.join(bench_dir, f"{name}.tables.json"), "w") as f:
+    with open(f"{stem}.tables.json", "w") as f:
         json.dump(entry, f, indent=1)
         f.write("\n")
     return entry
@@ -189,6 +196,11 @@ def main():
         help="re-record the named harnesses in the baseline and keep every "
         "other entry",
     )
+    ap.add_argument(
+        "--full",
+        action="store_true",
+        help="run the harnesses at full size, without SVAGC_BENCH_SMOKE",
+    )
     ap.add_argument("harnesses", nargs="+")
     args = ap.parse_args()
 
@@ -200,7 +212,7 @@ def main():
     failures = []
     for name in args.harnesses:
         try:
-            entry = run_harness(args.bench_dir, name)
+            entry = run_harness(args.bench_dir, name, args.full)
         except (GateError, OSError, subprocess.TimeoutExpired) as e:
             failures.append(f"{name}: {e}")
             continue

@@ -3,9 +3,12 @@
 
 Each stub is a shell script that prints fixed stdout, writes a fixed trace to
 $SVAGC_TRACE_OUT and exits with a fixed code; it exits 9 instead if the gate
-passed it any SVAGC_* variable besides the three it must set. The clean stub
-is recorded with --update-baseline, every stub is checked against a copy of
-that entry, and each stub but the clean one must fail with its own message.
+passed it any SVAGC_* variable besides the three it must set (two with
+--full, which must not set smoke mode). The clean stub is recorded with
+--update-baseline, every stub is checked against a copy of that entry, and
+each stub but the clean one must fail with its own message. A full-size stub
+must pass under --full, even when the caller's environment asks for smoke
+mode, and fail without it.
 
 Usage: gate_selftest.py path/to/check_regression.py
 """
@@ -68,14 +71,17 @@ CASES = {
 }
 
 
-def write_stub(bench_dir, data_dir, name, stdout, trace_text, code):
+def write_stub(bench_dir, data_dir, name, stdout, trace_text, code,
+               full=False):
     out, tr = (os.path.join(data_dir, name + ext) for ext in (".out", ".tr"))
     with open(out, "w") as f:
         f.write(stdout)
     with open(tr, "w") as f:
         f.write(trace_text)
-    env = "\n".join(["SVAGC_BENCH_JSON=1", "SVAGC_BENCH_SMOKE=1",
-                     f"SVAGC_TRACE_OUT={bench_dir}/{name}.trace.json"])
+    smoke = [] if full else ["SVAGC_BENCH_SMOKE=1"]
+    stem = name + (".full" if full else "")
+    env = "\n".join(["SVAGC_BENCH_JSON=1", *smoke,
+                     f"SVAGC_TRACE_OUT={bench_dir}/{stem}.trace.json"])
     stub = os.path.join(bench_dir, name)
     with open(stub, "w") as f:
         f.write(f"#!/bin/sh\n"
@@ -86,7 +92,8 @@ def write_stub(bench_dir, data_dir, name, stdout, trace_text, code):
 
 
 def gate(checker, baseline, bench_dir, *args):
-    env = dict(os.environ, SVAGC_SOAK_SCALE="10")
+    # Variables the gate must not pass on, smoke mode's among them.
+    env = dict(os.environ, SVAGC_SOAK_SCALE="10", SVAGC_BENCH_SMOKE="1")
     proc = subprocess.run(
         [sys.executable, checker, "--baseline", baseline,
          "--bench-dir", bench_dir, *args],
@@ -124,6 +131,22 @@ def main():
             if not ok:
                 errors.append(f"{name}: want {phrase or 'pass'}, got:\n{out}")
         for left in ("clean.tables.json", "clean.trace.json"):
+            if not os.path.exists(os.path.join(bench_dir, left)):
+                errors.append(f"the gate left no {left}")
+
+        write_stub(bench_dir, data_dir, "full_size", STDOUT, trace(), 0,
+                   full=True)
+        with open(baseline, "w") as f:
+            json.dump({"clean": clean, "full_size": clean}, f)
+        for args, phrase in ((["--full", "full_size"], None),
+                             (["full_size"], "exited 9"),
+                             (["--full", "clean"], "exited 9")):
+            rc, out = gate(checker, baseline, bench_dir, *args)
+            ok = rc == 0 if phrase is None else rc == 1 and phrase in out
+            print(f"[{'ok' if ok else 'FAIL'}] {' '.join(args)}: exit {rc}")
+            if not ok:
+                errors.append(f"{args}: want {phrase or 'pass'}, got:\n{out}")
+        for left in ("full_size.full.tables.json", "full_size.full.trace.json"):
             if not os.path.exists(os.path.join(bench_dir, left)):
                 errors.append(f"the gate left no {left}")
     for error in errors:

@@ -5,7 +5,8 @@
 // that the zero-copy property is real in this implementation too — swapping
 // PTEs of N pages is O(N) pointer work while memmove is O(N * 4096) byte
 // work. Custom counters report the modeled cycles alongside.
-// BM_MemsimOnAccess times the Table III cache/DTLB model per traced line.
+// BM_MemsimOnAccess times the Table III cache/DTLB model per traced line,
+// and BM_MemsimSuperstep the same model fed pagerank's superstep.
 // BM_FlushPageAllCores and BM_DigestHeap time the far tier's per-eviction
 // TLB invalidation and the fleet's end-of-run heap digest. BM_ZeroBytes
 // times allocation zeroing over known-zero and over written frames.
@@ -239,6 +240,39 @@ BENCHMARK(BM_MemsimOnAccess)
     ->Arg(4 << 10)
     ->Arg(64 << 10)
     ->Arg(256 << 10);
+
+// Pagerank's superstep as Table III's scaled hierarchy sees it, one chunk
+// per iteration: the next 64 KiB adjacency chunk of a ring of 40, then the
+// same two 256 KiB rank vectors. Each array sits behind a 16-byte header,
+// as heap objects do. Every call fills all of L2's sets, while the LLC,
+// which holds the vectors, gets a few lines of a call in each set.
+void BM_MemsimSuperstep(benchmark::State& state) {
+  constexpr std::uint64_t kBase = 1ULL << 32;
+  constexpr std::uint64_t kHeader = 16;
+  constexpr std::uint32_t kChunkBytes = 64 << 10;
+  constexpr std::uint32_t kRankBytes = 256 << 10;
+  constexpr unsigned kChunks = 40;
+  constexpr std::uint64_t kChunkStride = kHeader + kChunkBytes;
+  const std::uint64_t ranks = kBase + kChunks * kChunkStride + kHeader;
+  const std::uint64_t next_ranks = ranks + kRankBytes + kHeader;
+  memsim::MemoryHierarchy hierarchy(
+      memsim::HierarchyConfig::ScaledForSmallHeaps());
+  unsigned chunk = 0;
+  const auto step = [&] {
+    hierarchy.OnAccess(kBase + chunk * kChunkStride + kHeader, kChunkBytes,
+                       /*is_write=*/false);
+    hierarchy.OnAccess(ranks, kRankBytes, /*is_write=*/false);
+    hierarchy.OnAccess(next_ranks, kRankBytes, /*is_write=*/true);
+    chunk = (chunk + 1) % kChunks;
+  };
+  for (unsigned warm = 0; warm < kChunks; ++warm) step();
+  const std::uint64_t warm_lines = hierarchy.l1().accesses();
+  for (auto _ : state) step();
+  const std::uint64_t lines = hierarchy.l1().accesses() - warm_lines;
+  state.counters["lines_per_s"] = benchmark::Counter(
+      static_cast<double>(lines), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_MemsimSuperstep);
 
 // One far-tier eviction's invalidation on a 32-core machine whose TLBs hold
 // 1024 pages of the asid on `cores` cores. The flushed vpns are never

@@ -52,62 +52,42 @@ Cache::Cache(const CacheConfig& config)
       tags_(SetsOf(config), config.ways) {
   // Allocated by the constructing thread, not by whichever GC worker makes
   // the first long access.
-  taken_.reserve(tags_.sets());
+  const std::uint64_t capacity = capacity_lines();
+  hit_lines_ = std::make_unique_for_overwrite<std::uint64_t[]>(capacity);
 }
 
 void Cache::AccessDistinct(const std::vector<LineRun>& runs,
                            std::vector<LineRun>* misses) {
-  RunBuilder missed(misses);
-  if (runs.empty()) return;
-  std::uint64_t lowest = runs.front().begin;
-  std::uint64_t highest = runs.front().end;
-  for (const LineRun& run : runs) {
-    lowest = std::min(lowest, run.begin);
-    highest = std::max(highest, run.end);
-  }
-  // Lines within sets x ways consecutive line numbers give no set more than
-  // `ways` of them, so none can be a guaranteed miss: skip the counting.
-  const bool count_sets = highest - lowest > capacity_lines();
-  const unsigned ways = tags_.ways();
-  const std::uint64_t sets = tags_.sets();
-  if (count_sets) taken_.assign(sets, 0);
-  std::uint64_t full_sets = 0;
-  std::uint64_t probed = 0;
+  std::uint64_t lines = 0;
   std::uint64_t hits = 0;
-  for (const LineRun& run : runs) {
-    std::uint64_t line = run.begin;
-    for (; line < run.end && full_sets < sets; ++line) {
-      if (count_sets) {
-        unsigned& taken = taken_[tags_.SetOf(line)];
-        if (taken == ways) {
-          MissRun(line, line + 1);
-          missed.Add(line, line + 1);
-          continue;
-        }
-        if (++taken == ways) ++full_sets;
-      }
-      ++probed;
-      if (tags_.Probe(line)) {
-        ++hits;
-      } else {
-        missed.Add(line, line + 1);
-      }
-    }
-    if (line < run.end) {
-      MissRun(line, run.end);
-      missed.Add(line, run.end);
-    }
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const LineRun& run = runs[i];
+    // The set-by-set walk relies on each set seeing its lines in order.
+    SVAGC_DCHECK(run.begin < run.end &&
+                 (i == 0 || runs[i - 1].end <= run.begin));
+    lines += run.end - run.begin;
+    tags_.ProbeRun(run.begin, run.end, [&](std::uint64_t line) {
+      // Only a line the cache held when the call began can hit.
+      SVAGC_DCHECK(hits < capacity_lines());
+      if (misses != nullptr) hit_lines_[hits] = line;
+      ++hits;
+    });
   }
   hits_ += hits;
-  misses_ += probed - hits;
-}
-
-void Cache::MissRun(std::uint64_t begin, std::uint64_t end) {
-  misses_ += end - begin;
-  const std::uint64_t keep = capacity_lines();
-  for (std::uint64_t line = end - begin > keep ? end - keep : begin;
-       line < end; ++line) {
-    tags_.Fill(line);
+  misses_ += lines - hits;
+  if (misses == nullptr) return;
+  // Hits arrive set by set; in line order, the gaps between them miss.
+  std::uint64_t* hit = hit_lines_.get();
+  std::uint64_t* const hits_end = hit + hits;
+  std::sort(hit, hits_end);
+  RunBuilder missed(misses);
+  for (const LineRun& run : runs) {
+    std::uint64_t line = run.begin;
+    for (; hit != hits_end && *hit < run.end; ++hit) {
+      if (line < *hit) missed.Add(line, *hit);
+      line = *hit + 1;
+    }
+    if (line < run.end) missed.Add(line, run.end);
   }
 }
 

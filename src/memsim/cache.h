@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "memsim/lru_tags.h"
@@ -43,13 +44,11 @@ class Cache {
 
   // AccessLine() on every line of `runs` in order, with the same counters
   // and final state, appending the lines that miss to `misses` (merged into
-  // runs; may be null). The lines must be pairwise distinct, as the lines
-  // of one ranged access are. Then once a set has taken `ways` of them it
-  // holds exactly those, so each later one that maps there is a guaranteed
-  // miss and is filled without a scan. Once every set is in that state the
-  // rest of a run misses as a whole (MissRun). When the lines span no more
-  // than sets x ways line numbers, no set takes more than `ways` of them,
-  // so all are probed.
+  // runs; may be null). The runs must be non-empty, ascending and disjoint,
+  // as the lines of one ranged access and the misses of a level above it
+  // are; each run is then walked set by set (LruTags::ProbeRun). A line of
+  // the call can hit only if its set held it when the call began, so at
+  // most sets x ways of them hit.
   void AccessDistinct(const std::vector<LineRun>& runs,
                       std::vector<LineRun>* misses);
 
@@ -69,16 +68,12 @@ class Cache {
   std::uint64_t capacity_lines() const { return tags_.sets() * tags_.ways(); }
 
  private:
-  // Counts [begin, end) as misses, given that each line is absent from its
-  // set when its turn comes. Only the last sets x ways lines are filled:
-  // they put `ways` lines in every set, evicting all the earlier ones would
-  // have left.
-  void MissRun(std::uint64_t begin, std::uint64_t end);
-
   CacheConfig config_;
   unsigned line_shift_;
   LruTags tags_;
-  std::vector<unsigned> taken_;  // AccessDistinct: lines per set this call
+  // AccessDistinct's hits, sets x ways of room; left uninitialized, so an
+  // LLC, which collects none, never touches it.
+  std::unique_ptr<std::uint64_t[]> hit_lines_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -12,9 +12,11 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& config)
   // of one access stay distinct all the way down.
   SVAGC_CHECK(config.l2.line_bytes == config.l1.line_bytes &&
               config.llc.line_bytes == config.l1.line_bytes);
-  // OnAccess runs on GC worker threads and never allocates: a long access
-  // leaves at most L1-sets x ways + 1 runs of L1 misses (L1 probes only its
-  // first sets x ways lines), and L2 adds at most its own sets x ways.
+  // OnAccess runs on GC worker threads and never allocates. A level hits
+  // at most its sets x ways lines of one access, and each hit splits at
+  // most one run of misses in two: L1's one run leaves at most L1-sets x
+  // ways + 1 runs of L1 misses, and L2 adds at most its own sets x ways.
+  // Each cache reserves room for its own hits.
   call_lines_.reserve(1);
   l1_misses_.reserve(l1_.capacity_lines() + 1);
   l2_misses_.reserve(l1_.capacity_lines() + l2_.capacity_lines() + 1);
@@ -37,8 +39,8 @@ void MemoryHierarchy::OnAccess(std::uint64_t vaddr, std::uint32_t size,
       }
     }
   } else {
-    // Every line of one access is distinct, and each level sees an ordered
-    // subset of them, so every level can skip its guaranteed misses.
+    // The lines of one access are distinct and each level sees an ordered
+    // subset of them, so every level can walk its runs set by set.
     call_lines_.assign(1, LineRun{first, last + 1});
     l1_.AccessDistinct(call_lines_, &l1_misses_);
     l2_.AccessDistinct(l1_misses_, &l2_misses_);

@@ -8,7 +8,6 @@
 
 #include "memsim/cache.h"
 #include "memsim/dtlb.h"
-#include "simkernel/cost_model.h"
 #include "simkernel/trace.h"
 #include "support/spin_lock.h"
 
@@ -53,20 +52,6 @@ class MemoryHierarchy : public sim::MemTraceSink {
   // i.e. LLC misses over LLC references.
   double LlcMissRatePercent() const { return llc_.MissRatePercent(); }
   double DtlbMissRatePercent() const { return dtlb_.MissRatePercent(); }
-
-  // Under overcommit a fraction of LLC misses land on pages the far tier
-  // holds, and each such miss stalls for a line's worth of far-read freight
-  // on top of the near-DRAM service already folded into the profile's
-  // copy/compute rates. Converts this hierarchy's measured miss count into
-  // those extra modeled stall cycles, composing the trace-driven model with
-  // the kernel tier's calibrated costs without re-running the trace.
-  double FarTierStallCycles(const sim::CostProfile& cost,
-                            double far_miss_fraction) const {
-    SVAGC_DCHECK(far_miss_fraction >= 0.0 && far_miss_fraction <= 1.0);
-    return static_cast<double>(llc_.misses()) * far_miss_fraction *
-           cost.far_read_per_byte *
-           static_cast<double>(llc_.config().line_bytes);
-  }
 
   Cache& l1() { return l1_; }
   Cache& l2() { return l2_; }

@@ -116,8 +116,10 @@ TEST(Hierarchy, ZeroSizeAccessIsSafe) {
 
 TEST(MemsimDeathTest, RejectsUnsupportedGeometry) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // Three sets, three DTLB sets, and levels with different line sizes.
+  // Three sets, three DTLB sets, more ways than a row scan's 64-bit masks
+  // hold, and levels with different line sizes.
   ASSERT_DEATH(Cache(CacheConfig{3 * 4 * 64, 4, 64}), "CHECK failed");
+  ASSERT_DEATH(Cache(CacheConfig{65 * 64, 65, 64}), "CHECK failed");
   ASSERT_DEATH(DtlbSim(12, 4, 64, 4), "CHECK failed");
   HierarchyConfig mixed_lines;
   mixed_lines.l2.line_bytes = 128;
@@ -142,6 +144,102 @@ TEST(Cache, AccessDistinctSkipsOnlyGuaranteedMisses) {
   cache.ResetCounters();
   cache.AccessDistinct({{4, 8}}, nullptr);
   EXPECT_EQ(cache.hits(), 4u);
+}
+
+using Spans = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+Spans SpansOf(const std::vector<LineRun>& runs) {
+  Spans spans;
+  for (const LineRun& run : runs) spans.emplace_back(run.begin, run.end);
+  return spans;
+}
+
+// AccessLine() on every line of `runs`, returning the missed lines merged
+// into runs: what AccessDistinct must reproduce.
+Spans ProbeEachLine(Cache& cache, const std::vector<LineRun>& runs) {
+  Spans missed;
+  for (const LineRun& run : runs) {
+    for (std::uint64_t line = run.begin; line < run.end; ++line) {
+      if (cache.AccessLine(line)) continue;
+      if (!missed.empty() && missed.back().second == line) {
+        ++missed.back().second;
+      } else {
+        missed.emplace_back(line, line + 1);
+      }
+    }
+  }
+  return missed;
+}
+
+// One to four ascending runs from `line` on, separated by holes of up to
+// two sets' lines (sometimes none). A run is k x sets +- 1 lines long for
+// k = 1 ... 2 x ways + 1, or longer than sets x ways: up to 72 keys more
+// than its ways per set, so key indices pass the scan's 64-bit masks.
+std::vector<LineRun> RandomRuns(Rng& rng, std::uint64_t sets, unsigned ways,
+                                std::uint64_t line) {
+  std::vector<LineRun> runs(rng.NextInRange(1, 4));
+  for (LineRun& run : runs) {
+    std::uint64_t length = sets * ways + rng.NextInRange(1, 72 * sets);
+    if (rng.NextBelow(4) != 0) {
+      length = rng.NextInRange(1, 2 * ways + 1) * sets + rng.NextBelow(3);
+      length = std::max<std::uint64_t>(length - 1, 1);
+    }
+    run = {line, line + length};
+    line = run.end + rng.NextBelow(2 * sets + 1);
+  }
+  return runs;
+}
+
+// AccessDistinct against AccessLine() on a twin cache, over every way count
+// the scan's masks allow up to 64 and set counts from 1 to 64: the same
+// hits, misses and miss runs after every call, and the same rows, which
+// single-line probes on both caches compare (each probe's outcome depends
+// on the row order it meets, and any divergence carries into later calls).
+TEST(Cache, AccessDistinctMatchesLineProbes) {
+  for (const unsigned ways : {1u, 2u, 3u, 4u, 8u, 11u, 12u, 16u, 64u}) {
+    for (const std::uint64_t sets : {1u, 2u, 4u, 16u, 64u}) {
+      SCOPED_TRACE(testing::Message() << sets << " sets x " << ways << " ways");
+      const CacheConfig config{sets * ways * 64, ways, 64};
+      Cache distinct(config);
+      Cache lines(config);
+      Rng rng(sets * 100 + ways);
+      // Calls start anywhere in a window a few caches wide, so they find
+      // the lines of earlier calls and probes at every depth.
+      const std::uint64_t base = 1ULL << 20;
+      const std::uint64_t window = 3 * sets * (ways + 8);
+      std::vector<LineRun> runs;
+      for (int call = 0; call < 40; ++call) {
+        runs = RandomRuns(rng, sets, ways, base + rng.NextBelow(window));
+        const Spans want = ProbeEachLine(lines, runs);
+        if (rng.NextBelow(4) == 0) {
+          distinct.AccessDistinct(runs, nullptr);  // as the LLC calls it
+        } else {
+          std::vector<LineRun> got;
+          distinct.AccessDistinct(runs, &got);
+          ASSERT_EQ(SpansOf(got), want) << "call " << call;
+        }
+        ASSERT_EQ(distinct.hits(), lines.hits()) << "call " << call;
+        ASSERT_EQ(distinct.misses(), lines.misses()) << "call " << call;
+        // Single lines from the call's span and just around it.
+        const std::uint64_t lo = runs.front().begin - sets;
+        const std::uint64_t span = runs.back().end + sets - lo;
+        for (int probe = 0; probe < 8; ++probe) {
+          const std::uint64_t line = lo + rng.NextBelow(span);
+          ASSERT_EQ(distinct.AccessLine(line), lines.AccessLine(line))
+              << "call " << call << ", probe of line " << line;
+        }
+      }
+      // The last call's rows in full: a new key pushes each set's LRU tag
+      // out, then the call's lines are probed from the top down.
+      for (std::uint64_t set = 0; set < sets; ++set) {
+        ASSERT_EQ(distinct.AccessLine(set), lines.AccessLine(set));
+      }
+      for (std::uint64_t line = runs.back().end; line-- > runs.front().begin;) {
+        ASSERT_EQ(distinct.AccessLine(line), lines.AccessLine(line))
+            << "final probe of line " << line;
+      }
+    }
+  }
 }
 
 // Every counter of a hierarchy, the production one or the reference.
